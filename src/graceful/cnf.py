@@ -29,7 +29,6 @@ class CnfFormula:
     num_vars: int
     clauses: list[tuple[int, ...]]
     varmap: dict[tuple[int, int], int] = field(default_factory=dict)
-    rev: dict[int, tuple[int, int]] = field(default_factory=dict)
     graph: Graph | None = None
     k: int = 0
     family_counts: dict[str, int] = field(default_factory=dict)
@@ -65,7 +64,6 @@ def encode_graceful(g: Graph, k: int) -> CnfFormula:
     if k < 1:
         raise ValueError("k must be >= 1")
     varmap = {(v, c): v * k + c for v in range(g.n) for c in range(1, k + 1)}
-    rev = {i: vc for vc, i in varmap.items()}
     clauses: list[tuple[int, ...]] = []
     counts = {"a": 0, "b": 0, "c": 0, "d2": 0, "d3": 0}
 
@@ -104,7 +102,7 @@ def encode_graceful(g: Graph, k: int) -> CnfFormula:
                                         -varmap[w, cw]))
                         counts["d3"] += 1
 
-    formula = CnfFormula(g.n * k, clauses, varmap, rev, g, k, counts)
+    formula = CnfFormula(g.n * k, clauses, varmap, g, k, counts)
     if counts != predicted_clause_counts(g, k):
         raise AssertionError(
             f"clause-count mismatch: {counts} vs {predicted_clause_counts(g, k)}")

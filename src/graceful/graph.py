@@ -7,7 +7,7 @@ after construction, so they can be shared freely.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 
@@ -55,14 +55,6 @@ class Graph:
 
     def neighbors(self, v: int) -> frozenset[int]:
         return self.adjacency[v]
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Graph):
-            return NotImplemented
-        return self.n == other.n and self.adjacency == other.adjacency
-
-    def __hash__(self) -> int:
-        return hash((self.n, self.adjacency))
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,10 @@
 """Minimum-span progression-free sets.
 
-span_free(n) is the least k such that {1..k} contains an n-element subset
-with no three distinct elements in arithmetic progression (OEIS A065825,
-written a(n) throughout the API).  Witnesses are explicit and re-checked.
+a(n) is the least k such that {1..k} contains an n-element subset with no
+three distinct elements in arithmetic progression (OEIS A065825).
+Witnesses are explicit and re-checked.  One depth-first search over
+AP-free sets containing 1 answers both a(n) and the list of its optimal
+witnesses.
 """
 
 from __future__ import annotations
@@ -10,8 +12,9 @@ from __future__ import annotations
 import threading
 from dataclasses import dataclass
 from itertools import combinations
+from typing import Iterator
 
-DEFAULT_LIMIT = 14
+MAX_N = 14
 
 
 @dataclass(frozen=True)
@@ -41,10 +44,8 @@ def is_ap_free(s) -> bool:
     for i in range(len(xs)):
         for j in range(i + 1, len(xs)):
             x, z = xs[i], xs[j]
-            if (x + z) % 2 == 0 and (x + z) // 2 in elems and x != z:
-                mid = (x + z) // 2
-                if mid != x and mid != z:
-                    return False
+            if (x + z) % 2 == 0 and (x + z) // 2 in elems:
+                return False
     return True
 
 
@@ -52,7 +53,6 @@ class _Cache:
     def __init__(self):
         self.lock = threading.Lock()
         self.values: dict[int, tuple[int, tuple[int, ...]]] = {}
-        self.witnesses: dict[int, tuple[tuple[int, ...], ...]] = {}
 
 
 _cache = _Cache()
@@ -63,49 +63,40 @@ def _extends_ap_free(chosen: list[int], c: int) -> bool:
     in_set = set(chosen)
     for b in chosen:
         # c completes an AP a,b,c  (a = 2b - c) or b,mid,c
-        if 2 * b - c in in_set and 2 * b - c != b:
+        if 2 * b - c in in_set:
             return False
         if (b + c) % 2 == 0 and (b + c) // 2 in in_set:
             return False
     return True
 
 
-def _exists_with_span(n: int, k: int) -> tuple[int, ...] | None:
-    """DFS for an AP-free n-subset of {1..k}; elements chosen increasingly.
-
-    WLOG the witness can be shifted to start at 1, so fix 1 as the first
-    element for n >= 1."""
-    if n == 0:
-        return ()
+def _ap_free_sets(n: int, k: int) -> Iterator[tuple[int, ...]]:
+    """Every AP-free n-subset of {1..k} containing 1, in lexicographic
+    order.  A minimum-span set shifted down to start at 1 stays AP-free,
+    so every optimal witness contains both 1 and a(n)."""
     chosen = [1]
 
-    def dfs(lo: int) -> tuple[int, ...] | None:
+    def dfs(lo: int) -> Iterator[tuple[int, ...]]:
         if len(chosen) == n:
-            return tuple(chosen)
+            yield tuple(chosen)
+            return
         # span pruning: enough room must remain for the missing elements
-        if k - lo + 1 < n - len(chosen):
-            return None
-        for c in range(lo, k + 1):
-            if k - c + 1 < n - len(chosen):
-                break
+        for c in range(lo, k + 2 - (n - len(chosen))):
             if _extends_ap_free(chosen, c):
                 chosen.append(c)
-                got = dfs(c + 1)
-                if got:
-                    return got
+                yield from dfs(c + 1)
                 chosen.pop()
-        return None
 
     return dfs(2)
 
 
-def a_of_n(n: int, limit: int = DEFAULT_LIMIT) -> tuple[int, ApFreeSet]:
+def a_of_n(n: int) -> tuple[int, ApFreeSet]:
     """Least span a(n) of an n-element AP-free subset of the positive
-    integers, with a witness attaining it."""
+    integers, with the lexicographically first witness attaining it."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    if n > limit:
-        raise ValueError(f"n={n} exceeds configured limit {limit}")
+    if n > MAX_N:
+        raise ValueError(f"n={n} exceeds limit {MAX_N}")
     with _cache.lock:
         hit = _cache.values.get(n)
     if hit:
@@ -115,48 +106,18 @@ def a_of_n(n: int, limit: int = DEFAULT_LIMIT) -> tuple[int, ApFreeSet]:
     k = n
     if n - 1 in _cache.values:
         k = max(k, _cache.values[n - 1][0] + 1)
-    while True:
-        wit = _exists_with_span(n, k)
-        if wit is not None:
-            with _cache.lock:
-                _cache.values[n] = (k, wit)
-            return k, ApFreeSet(wit)
+    while (wit := next(_ap_free_sets(n, k), None)) is None:
         k += 1
+    with _cache.lock:
+        _cache.values[n] = (k, wit)
+    return k, ApFreeSet(wit)
 
 
-def all_optimal_witnesses(n: int, limit: int = DEFAULT_LIMIT) -> list[ApFreeSet]:
+def all_optimal_witnesses(n: int) -> list[ApFreeSet]:
     """Every AP-free n-subset of {1..a(n)} whose span is exactly a(n),
     in lexicographic order."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if n > limit:
-        raise ValueError(f"n={n} exceeds configured limit {limit}")
-    with _cache.lock:
-        hit = _cache.witnesses.get(n)
-    if hit is not None:
-        return [ApFreeSet(w) for w in hit]
-    value, _ = a_of_n(n, limit)
-    found: list[tuple[int, ...]] = []
-    chosen: list[int] = []
-
-    def dfs(lo: int):
-        if len(chosen) == n:
-            if chosen[-1] == value:
-                found.append(tuple(chosen))
-            return
-        for c in range(lo, value + 1):
-            if value - c + 1 < n - len(chosen):
-                break
-            if _extends_ap_free(chosen, c):
-                chosen.append(c)
-                dfs(c + 1)
-                chosen.pop()
-
-    dfs(1)
-    found.sort()
-    with _cache.lock:
-        _cache.witnesses[n] = tuple(found)
-    return [ApFreeSet(w) for w in found]
+    value, _ = a_of_n(n)
+    return [ApFreeSet(w) for w in _ap_free_sets(n, value)]
 
 
 def a_of_n_bruteforce(n: int) -> int:

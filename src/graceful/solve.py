@@ -14,7 +14,7 @@ from typing import Iterator
 
 from .coloring import VertexColoring, is_distance_two_coloring, is_graceful_coloring
 from .graph import Graph, square
-from .sequences import a_of_n, all_optimal_witnesses
+from .sequences import MAX_N, a_of_n
 
 DEFAULT_BUDGET = 10 ** 7
 
@@ -271,25 +271,28 @@ def distance_two_chromatic_number(g: Graph,
 
 def graceful_chromatic_number(g: Graph,
                               budget: SearchBudget = SearchBudget()) -> OptimumResult:
-    """chi_g(G), iterating k from the lower bound chi(G^2) up to the proven
-    ceiling a(chi(G^2)).  Passing the ceiling without a 'yes' is a defect,
-    never silently accepted."""
+    """chi_g(G), iterating k upward from the lower bound chi(G^2).  A 'no'
+    at the proven ceiling a(chi(G^2)) is a defect, never silently accepted;
+    the ceiling is only consulted where a(n) is in reach (n <= MAX_N), and
+    the node budget bounds the loop everywhere."""
     if g.n == 0:
         return OptimumResult("ok", 0, None, 0)
     lower = distance_two_chromatic_number(g, budget)
     if lower.status != "ok":
         return OptimumResult("unknown", None, None, lower.nodes)
     total = lower.nodes
-    upper, _ = a_of_n(lower.value)
-    for k in range(lower.value, upper + 1):
+    k = lower.value
+    while True:
         dec = graceful_k_colorable(g, k, SearchBudget(max(1, budget.max_nodes - total)))
         total += dec.nodes
         if dec.status == "yes":
             return OptimumResult("ok", k, dec.coloring, total)
         if dec.status == "unknown":
             return OptimumResult("unknown", None, None, total)
-    raise InternalConsistencyError(
-        f"no graceful coloring found up to the proven ceiling a({lower.value})={upper}")
+        if lower.value <= MAX_N and k >= a_of_n(lower.value)[0]:
+            raise InternalConsistencyError(
+                f"no graceful coloring found up to the proven ceiling a({lower.value})={k}")
+        k += 1
 
 
 # ---------------------------------------------------------------------------
@@ -302,8 +305,7 @@ def lift_distance_two(g: Graph, f: VertexColoring) -> VertexColoring:
     ok, viol = is_distance_two_coloring(g, f)
     if not ok:
         raise ValueError(f"input is not a distance-two coloring: {viol}")
-    q = f.k
-    witness = all_optimal_witnesses(q)[0]
+    _, witness = a_of_n(f.k)
     lifted = VertexColoring(tuple(witness.elements[c - 1] for c in f.colors),
                             witness.span)
     ok, viol = is_graceful_coloring(g, lifted)

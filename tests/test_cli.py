@@ -24,6 +24,14 @@ def test_chig_stdin(capsys, monkeypatch, tmp_path):
     assert code == 0 and payload["value"] == 2
 
 
+def test_chig_beyond_sequence_limit(capsys, tmp_path):
+    from graceful import star_graph, write_edge_list
+    p = tmp_path / "star14.txt"
+    p.write_text(write_edge_list(star_graph(14)))
+    code, payload = run(capsys, "chig", str(p))
+    assert code == 0 and payload["value"] == 15
+
+
 def test_decide(capsys, tmp_path):
     p = tmp_path / "k3.txt"
     p.write_text("3 3\n0 1\n1 2\n0 2\n")

@@ -7,6 +7,13 @@ from graceful import (Graph, GraphFormatError, complete_graph, cubic_graph,
 from graceful.graph import SplitMix64, complete_bipartite
 
 
+def test_equality_and_hash_ignore_edge_order():
+    a = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3)])
+    b = Graph.from_edges(4, [(3, 2), (0, 1), (2, 1)])
+    assert a == b and hash(a) == hash(b)
+    assert a != Graph.from_edges(4, [(0, 1), (1, 2)])
+
+
 def test_graph6_k2():
     g = parse_graph6("A_")
     assert g.n == 2 and g.m == 1

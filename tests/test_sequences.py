@@ -62,6 +62,8 @@ def test_witnesses_are_ap_free_with_exact_span():
         value = a_of_n(n)[0]
         wits = all_optimal_witnesses(n)
         assert wits
+        # the a(n) witness is the lexicographically first optimal set
+        assert a_of_n(n)[1] == wits[0]
         for w in wits:
             assert is_ap_free(w.elements)
             assert w.span == value

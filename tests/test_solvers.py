@@ -27,6 +27,9 @@ def test_distance_two_q3():
 def test_distance_two_chromatic_numbers():
     assert distance_two_chromatic_number(cycle_graph(5)).value == 5
     assert distance_two_chromatic_number(star_graph(4)).value == 5
+    # chi_g(K_{1,14}) meets its lower bound chi(G^2) = 15 without a(15)
+    res = graceful_chromatic_number(star_graph(14))
+    assert (res.status, res.value) == ("ok", 15)
     for n in range(1, 6):
         assert distance_two_chromatic_number(complete_graph(n)).value == n
 
