@@ -13,11 +13,11 @@ from .graph import (Graph, GraphFormatError, StructuralReport, complete_bipartit
                     write_graph6)
 from .sequences import (ApFreeSet, a_of_n, a_of_n_bruteforce,
                         all_optimal_witnesses, is_ap_free)
-from .solve import (Decision, OptimumResult, SearchBudget, bounds,
-                    distance_two_chromatic_number, distance_two_k_colorable,
-                    enumerate_graceful_colorings, graceful_chromatic_number,
-                    graceful_k_colorable, graceful_k_colorable_bruteforce,
-                    lift_distance_two)
+from .solve import (Decision, OptimumResult, SearchBudget, UndecidedError,
+                    bounds, distance_two_chromatic_number,
+                    distance_two_k_colorable, enumerate_graceful_colorings,
+                    graceful_chromatic_number, graceful_k_colorable,
+                    graceful_k_colorable_bruteforce, lift_distance_two)
 
 __all__ = [name for name in dir() if not name.startswith("_")]
 __version__ = "0.1.0"

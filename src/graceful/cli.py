@@ -1,8 +1,8 @@
 """Command-line entry point.
 
 Results go to stdout as JSON (schema version 1); diagnostics go to stderr.
-Exit codes: 0 for a decided answer, 2 when a search budget was exhausted,
-1 for input or usage errors.
+Exit codes: 0 for a decided answer, 2 when a search budget was exhausted
+or the answer is otherwise undecided, 1 for input or usage errors.
 """
 
 from __future__ import annotations
@@ -318,6 +318,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
+    except solve.UndecidedError as exc:
+        print(f"undecided: {exc}", file=sys.stderr)
+        return EXIT_UNKNOWN
     except (GraphFormatError, ValueError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT

@@ -21,7 +21,7 @@ from typing import Sequence
 
 from .coloring import VertexColoring, is_graceful_coloring
 from .graph import Graph, square
-from .solve import SearchBudget, _Exhausted
+from .solve import SearchBudget, UndecidedError
 
 
 @dataclass
@@ -225,7 +225,7 @@ def internal_sat(formula: CnfFormula,
         for lit in (var, -var):
             nodes += 1
             if nodes > budget.max_nodes:
-                raise _Exhausted
+                raise UndecidedError
             branch = dict(assignment)
             reduced = simplify(clauses, branch, lit)
             if reduced is not None:
@@ -236,7 +236,7 @@ def internal_sat(formula: CnfFormula,
 
     try:
         got = dpll(list(formula.clauses), {})
-    except _Exhausted:
+    except UndecidedError:
         return SatResult("unknown", None, nodes)
     if got is None:
         return SatResult("unsat", None, nodes)

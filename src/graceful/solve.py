@@ -9,7 +9,7 @@ complete, exhausted search; budget exhaustion yields 'unknown'.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
+from itertools import combinations, product
 from typing import Iterator
 
 from .coloring import VertexColoring, is_distance_two_coloring, is_graceful_coloring
@@ -28,8 +28,9 @@ class SearchBudget:
             raise ValueError("budget must be >= 1")
 
 
-class _Exhausted(Exception):
-    pass
+class UndecidedError(RuntimeError):
+    """No certified answer: a search budget ran out, or a needed bound lies
+    beyond what the sequence machinery computes."""
 
 
 @dataclass(frozen=True)
@@ -58,128 +59,127 @@ class InternalConsistencyError(AssertionError):
 
 
 # ---------------------------------------------------------------------------
-# Graceful k-colorability core
+# The search engine.  A graceful coloring is a distance-two coloring whose
+# difference labels are also distinct at every vertex, so one depth-first
+# search decides both; `graceful` switches the label check on.
 
-def _degree_domain(g: Graph, k: int, v: int) -> list[int]:
-    # color c offers max(c-1, k-c) distinct difference labels; a vertex of
-    # degree d needs d of them
-    d = g.degree(v)
-    return [c for c in range(1, k + 1) if max(c - 1, k - c) >= d]
+def _colorings(g: Graph, k: int, budget: SearchBudget, tally: list[int],
+               graceful: bool, symmetric: bool) -> Iterator[tuple[int, ...]]:
+    """Yield k-colorings of g in depth-first order, counting search nodes in
+    tally[0] and raising UndecidedError once they exceed the budget.
 
-
-def _graceful_feasible(g: Graph, col: list[int], v: int, c: int) -> bool:
-    labels_at_v = set()
-    for u in g.adjacency[v]:
-        cu = col[u]
-        if cu:
-            if cu == c:
-                return False
-            lab = abs(c - cu)
-            if lab in labels_at_v:
-                return False
-            labels_at_v.add(lab)
-            for x in g.adjacency[u]:
-                if x == v:
-                    continue
-                cx = col[x]
-                if cx:
-                    if cx == c:  # v,x share neighbor u
-                        return False
-                    if abs(cx - cu) == lab:  # label clash at u
-                        return False
-        else:
-            for x in g.adjacency[u]:
-                if x != v and col[x] == c:  # distance two through unassigned u
-                    return False
-    return True
-
-
-def _graceful_search(g: Graph, k: int, budget: SearchBudget,
-                     collect: list | None, first_cap: int | None) -> tuple[bool, int, list[int] | None]:
-    """Shared engine.  If collect is None: stop at the first solution and
-    return it.  Otherwise append every solution (as a color tuple) to
-    collect and exhaust the space.
-
-    first_cap, when set, restricts the root branching vertex to colors
-    <= first_cap (reflection symmetry breaking; only sound for decisions).
-    Returns (exhausted_or_found, nodes, solution)."""
+    The branching vertex has the fewest allowed colors, then the highest
+    degree (in g for graceful, in G^2 otherwise), then the lowest index.
+    With symmetric, one coloring per symmetry class survives: graceful search
+    caps the root vertex at ceil(k/2) (reflection c -> k+1-c), distance-two
+    search opens at most one new color per node (color interchange)."""
     n = g.n
-    domains = [_degree_domain(g, k, v) for v in range(n)]
-    if any(not d for d in domains) and n > 0:
-        return True, 0, None
+    adj = g.adjacency
+    near = square(g).adjacency
+    if graceful:
+        # color c offers max(c-1, k-c) distinct difference labels; a vertex of
+        # degree d needs d of them
+        domains = [[c for c in range(1, k + 1) if max(c - 1, k - c) >= len(adj[v])]
+                   for v in range(n)]
+        degree = [len(a) for a in adj]
+    else:
+        domains = [range(1, k + 1)] * n
+        degree = [len(a) for a in near]
     col = [0] * n
-    nodes = 0
-    found: list[int] | None = None
 
-    def choose() -> tuple[int, list[int]] | None:
+    def allowed(v: int) -> list[int]:
+        banned = {col[u] for u in near[v]}
+        if graceful:
+            # Labels ban c too: a colored neighbour u may already carry the
+            # label |c - f(u)| on its edge to x, so c = 2f(u) - f(x) (c = f(x)
+            # is banned above); or two labels at v clash, |c - a| = |c - b|
+            # with a != b the colors of two neighbours, so c = (a + b) / 2.
+            seen = [cu for u in adj[v] if (cu := col[u])]
+            banned.update(2 * col[u] - col[x] for u in adj[v] if col[u]
+                          for x in adj[u] if col[x])
+            banned.update((a + b) // 2 for a, b in combinations(seen, 2)
+                          if (a + b) % 2 == 0)
+        return [c for c in domains[v] if c not in banned]
+
+    def branch(max_used: int):  # max_used is 0 only at the root
         best_v, best_fs = -1, None
         for v in range(n):
             if col[v]:
                 continue
-            fs = [c for c in domains[v] if _graceful_feasible(g, col, v, c)]
-            if best_fs is None or (len(fs), -g.degree(v), v) < (len(best_fs), -g.degree(best_v), best_v):
+            fs = allowed(v)
+            if best_fs is None or (len(fs), -degree[v]) < (len(best_fs), -degree[best_v]):
                 best_v, best_fs = v, fs
                 if not fs:
                     break
         if best_fs is None:
             return None
-        return best_v, best_fs
+        if not symmetric:
+            cap = k
+        elif graceful:
+            cap = (k + 1) // 2 if max_used == 0 else k
+        else:
+            cap = max_used + 1
+        return best_v, iter([c for c in best_fs if c <= cap]), max_used
 
-    def extend(depth: int) -> bool:
-        nonlocal nodes, found
-        pick = choose()
-        if pick is None:
-            if collect is not None:
-                collect.append(tuple(col))
-                return False
-            found = list(col)
-            return True
-        v, fs = pick
-        if depth == 0 and first_cap is not None:
-            fs = [c for c in fs if c <= first_cap]
-        for c in fs:
-            nodes += 1
-            if nodes > budget.max_nodes:
-                raise _Exhausted
-            col[v] = c
-            if extend(depth + 1):
-                return True
+    root = branch(0)
+    if root is None:
+        yield tuple(col)
+        return
+    stack = [root]  # frames: (vertex, colors left to try, max color above it)
+    while stack:
+        v, colors, max_used = stack[-1]
+        c = next(colors, None)
+        if c is None:
             col[v] = 0
-        col[v] = 0
-        return False
+            stack.pop()
+            continue
+        tally[0] += 1
+        if tally[0] > budget.max_nodes:
+            raise UndecidedError(f"search budget exhausted after {tally[0]} nodes")
+        col[v] = c
+        frame = branch(max(max_used, c))
+        if frame is None:
+            yield tuple(col)
+        else:
+            stack.append(frame)
 
+
+def _decide(g: Graph, k: int, budget: SearchBudget, graceful: bool) -> Decision:
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    tally = [0]
     try:
-        extend(0)
-    except _Exhausted:
-        return False, nodes, None
-    return True, nodes, found
+        sol = next(_colorings(g, k, budget, tally, graceful, symmetric=True), None)
+    except UndecidedError:
+        return Decision("unknown", None, tally[0])
+    if sol is None:
+        return Decision("no", None, tally[0])
+    f = VertexColoring(sol, k)
+    ok, viol = (is_graceful_coloring if graceful else is_distance_two_coloring)(g, f)
+    if not ok:
+        raise InternalConsistencyError(f"solver emitted invalid witness: {viol}")
+    return Decision("yes", f, tally[0])
 
 
 def graceful_k_colorable(g: Graph, k: int,
                          budget: SearchBudget = SearchBudget()) -> Decision:
     """Exact decision: does g admit a graceful coloring with palette 1..k?"""
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    cap = (k + 1) // 2  # c -> k+1-c reflection symmetry at the root
-    done, nodes, sol = _graceful_search(g, k, budget, None, cap)
-    if sol is not None:
-        f = VertexColoring(tuple(sol), k)
-        ok, viol = is_graceful_coloring(g, f)
-        if not ok:
-            raise InternalConsistencyError(f"solver emitted invalid witness: {viol}")
-        return Decision("yes", f, nodes)
-    return Decision("no" if done else "unknown", None, nodes)
+    return _decide(g, k, budget, graceful=True)
+
+
+def distance_two_k_colorable(g: Graph, k: int,
+                             budget: SearchBudget = SearchBudget()) -> Decision:
+    """Exact decision: is g^2 properly k-colorable?"""
+    return _decide(g, k, budget, graceful=False)
 
 
 def enumerate_graceful_colorings(g: Graph, k: int,
                                  budget: SearchBudget = SearchBudget()) -> list[VertexColoring]:
-    """ALL graceful k-colorings of g, no symmetry breaking.  Raises on
-    budget exhaustion since a partial enumeration certifies nothing."""
-    acc: list = []
-    done, nodes, _ = _graceful_search(g, k, budget, acc, None)
-    if not done:
-        raise RuntimeError(f"enumeration budget exhausted after {nodes} nodes")
-    return [VertexColoring(t, k) for t in sorted(acc)]
+    """ALL graceful k-colorings of g, no symmetry breaking.  Raises
+    UndecidedError on budget exhaustion since a partial enumeration
+    certifies nothing."""
+    found = sorted(_colorings(g, k, budget, [0], graceful=True, symmetric=False))
+    return [VertexColoring(t, k) for t in found]
 
 
 def graceful_k_colorable_bruteforce(g: Graph, k: int) -> Decision:
@@ -192,63 +192,7 @@ def graceful_k_colorable_bruteforce(g: Graph, k: int) -> Decision:
 
 
 # ---------------------------------------------------------------------------
-# Distance-two colorability (proper coloring of the square graph)
-
-def _proper_k_colorable(h: Graph, k: int, budget: SearchBudget) -> tuple[str, list[int] | None, int]:
-    n = h.n
-    col = [0] * n
-    nodes = 0
-
-    def feasible(v: int) -> list[int]:
-        used = {col[u] for u in h.adjacency[v] if col[u]}
-        return [c for c in range(1, k + 1) if c not in used]
-
-    def extend(max_used: int) -> bool:
-        nonlocal nodes
-        best_v, best_fs = -1, None
-        for v in range(n):
-            if col[v]:
-                continue
-            fs = feasible(v)
-            if best_fs is None or (len(fs), -h.degree(v), v) < (len(best_fs), -h.degree(best_v), best_v):
-                best_v, best_fs = v, fs
-                if not fs:
-                    break
-        if best_fs is None:
-            return True
-        for c in best_fs:
-            if c > max_used + 1:  # color classes are interchangeable
-                break
-            nodes += 1
-            if nodes > budget.max_nodes:
-                raise _Exhausted
-            col[best_v] = c
-            if extend(max(max_used, c)):
-                return True
-            col[best_v] = 0
-        return False
-
-    try:
-        if extend(0):
-            return "yes", list(col), nodes
-        return "no", None, nodes
-    except _Exhausted:
-        return "unknown", None, nodes
-
-
-def distance_two_k_colorable(g: Graph, k: int,
-                             budget: SearchBudget = SearchBudget()) -> Decision:
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    status, sol, nodes = _proper_k_colorable(square(g), k, budget)
-    if status == "yes":
-        f = VertexColoring(tuple(sol), k)
-        ok, viol = is_distance_two_coloring(g, f)
-        if not ok:
-            raise InternalConsistencyError(f"solver emitted invalid witness: {viol}")
-        return Decision("yes", f, nodes)
-    return Decision(status, None, nodes)
-
+# Chromatic-number iterations
 
 def distance_two_chromatic_number(g: Graph,
                                   budget: SearchBudget = SearchBudget()) -> OptimumResult:
@@ -319,9 +263,11 @@ def bounds(g: Graph, budget: SearchBudget = SearchBudget()) -> tuple[int, int]:
     additionally certified by lifting an optimal distance-two coloring."""
     lower = distance_two_chromatic_number(g, budget)
     if lower.status != "ok":
-        raise RuntimeError("budget exhausted while computing chi(G^2)")
+        raise UndecidedError("budget exhausted while computing chi(G^2)")
     if lower.value == 0:
         return 0, 0
+    if lower.value > MAX_N:
+        raise UndecidedError(f"chi(G^2)={lower.value}: a(n) is computed only up to n={MAX_N}")
     upper, _ = a_of_n(lower.value)
     lifted = lift_distance_two(g, lower.coloring)
     if lifted.k != upper:

@@ -61,6 +61,29 @@ def test_bounds(capsys, tmp_path):
     assert code == 0 and (payload["lower"], payload["upper"]) == (5, 9)
 
 
+def assert_undecided(capsys, *argv):
+    assert main(list(argv)) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("undecided: ")
+
+
+def test_bounds_budget_exhausted_exit_code(capsys, tmp_path):
+    p = tmp_path / "c5.g6"
+    p.write_text("Dhc\n")
+    assert_undecided(capsys, "bounds", "--budget", "1", str(p))
+
+
+def test_gadget_budget_exhausted_exit_code(capsys):
+    assert_undecided(capsys, "gadget", "verify", "variable", "--budget", "5")
+
+
+def test_bounds_beyond_sequence_limit_exit_code(capsys, tmp_path):
+    from graceful import gnp_graph, write_edge_list
+    p = tmp_path / "g15.txt"
+    p.write_text(write_edge_list(gnp_graph(15, 0.4, 2)))  # chi(G^2) = 15
+    assert_undecided(capsys, "bounds", str(p))
+
+
 def test_gen_deterministic(capsys):
     code, a = run(capsys, "gen", "cubic", "8", "3")
     _, b = run(capsys, "gen", "cubic", "8", "3")
@@ -106,6 +129,15 @@ def test_unknown_exit_code(capsys, tmp_path):
     p.write_text(write_edge_list(complete_graph(6)))
     code, payload = run(capsys, "decide", "--k", "10", "--budget", "3", str(p))
     assert code == 2 and payload["answer"] == "unknown"
+
+
+def test_decide_deep_path(capsys, tmp_path):
+    from graceful import path_graph, write_edge_list
+    p = tmp_path / "p1200.txt"
+    p.write_text(write_edge_list(path_graph(1200)))
+    code, payload = run(capsys, "decide", "--k", "5", str(p))
+    assert code == 0 and payload["answer"] == "yes"
+    assert payload["nodes_searched"] == 1200
 
 
 def test_byte_identical_output(capsys, tmp_path):

@@ -1,6 +1,8 @@
 """Solver tests: brute-force oracle agreement plus the metamorphic
 invariants (reflection, translation, restriction, monotonicity)."""
 
+from itertools import product
+
 import pytest
 
 from graceful import (Graph, SearchBudget, VertexColoring, bounds,
@@ -8,8 +10,8 @@ from graceful import (Graph, SearchBudget, VertexColoring, bounds,
                       distance_two_k_colorable, enumerate_graceful_colorings,
                       gnp_graph, graceful_chromatic_number, graceful_k_colorable,
                       graceful_k_colorable_bruteforce, hypercube_graph,
-                      is_graceful_coloring, lift_distance_two, star_graph,
-                      a_of_n)
+                      is_distance_two_coloring, is_graceful_coloring,
+                      lift_distance_two, path_graph, star_graph, a_of_n)
 from graceful.graph import SplitMix64
 
 
@@ -74,16 +76,30 @@ def test_solver_matches_bruteforce():
             fast = graceful_k_colorable(g, k).status
             slow = graceful_k_colorable_bruteforce(g, k).status
             assert fast == slow, (n, k, i)
+            # the oracle tries all k^n colorings, so it checks the search's
+            # color interchange pruning too
+            fast = distance_two_k_colorable(g, k).status
+            slow = any(is_distance_two_coloring(g, VertexColoring(c, k))[0]
+                       for c in product(range(1, k + 1), repeat=n))
+            assert fast == ("yes" if slow else "no"), (n, k, i)
 
 
-def test_enumeration_matches_bruteforce_count():
-    from itertools import product
-    from graceful import is_graceful_coloring as check
-    g = cycle_graph(4)
-    k = 4
-    expected = sum(1 for combo in product(range(1, k + 1), repeat=g.n)
-                   if check(g, VertexColoring(combo, k))[0])
-    assert len(enumerate_graceful_colorings(g, k)) == expected
+def test_enumeration_matches_bruteforce_count(fig1):
+    for g, k in ((cycle_graph(4), 4), (path_graph(4), 4), (star_graph(3), 4),
+                 (fig1[0], 5)):
+        expected = [combo for combo in product(range(1, k + 1), repeat=g.n)
+                    if is_graceful_coloring(g, VertexColoring(combo, k))[0]]
+        assert expected
+        got = enumerate_graceful_colorings(g, k)
+        assert [f.colors for f in got] == expected, (g, k)
+
+
+def test_deep_graph_needs_no_recursion():
+    # one search frame per vertex: a recursive search overflows the stack
+    p = path_graph(1200)
+    for decide, k in ((graceful_k_colorable, 5), (distance_two_k_colorable, 3)):
+        dec = decide(p, k)
+        assert (dec.status, dec.nodes) == ("yes", 1200)
 
 
 def test_monotonicity_in_k():
@@ -121,7 +137,6 @@ def test_restriction_to_subgraphs():
 
 
 def test_lift_distance_two():
-    from graceful import path_graph
     p3 = path_graph(3)
     lifted = lift_distance_two(p3, VertexColoring((1, 2, 3), 3))
     assert lifted.colors == (1, 2, 4)
