@@ -186,7 +186,12 @@ class SatResult:
 
 def internal_sat(formula: CnfFormula,
                  budget: SearchBudget = SearchBudget()) -> SatResult:
-    """Complete DPLL with unit propagation and pure-literal elimination."""
+    """Complete DPLL with unit propagation and pure-literal elimination.
+
+    The search keeps its own stack of (clauses, assignment, literal) branches
+    to try, so its depth is not bounded by the interpreter's recursion limit.
+    It branches on the smallest variable left, var before -var, and counts
+    one node per branch tried."""
     nodes = 0
 
     def simplify(clauses, assignment, lit):
@@ -202,8 +207,7 @@ def internal_sat(formula: CnfFormula,
         assignment[abs(lit)] = lit > 0
         return out
 
-    def dpll(clauses, assignment):
-        nonlocal nodes
+    def propagate(clauses, assignment):
         while True:
             unit = next((cl[0] for cl in clauses if len(cl) == 1), None)
             if unit is not None:
@@ -218,24 +222,33 @@ def internal_sat(formula: CnfFormula,
                 if clauses is None:
                     return None
                 continue
-            break
-        if not clauses:
-            return assignment
-        var = min(abs(lit) for cl in clauses for lit in cl)
-        for lit in (var, -var):
+            return clauses
+
+    def dpll():
+        nonlocal nodes
+        assignment = {}
+        clauses = propagate(list(formula.clauses), assignment)
+        todo = []  # branches still to try, the next one last
+        while True:
+            if clauses is not None:
+                if not clauses:
+                    return assignment
+                var = min(abs(lit) for cl in clauses for lit in cl)
+                todo.append((clauses, assignment, -var))
+                todo.append((clauses, assignment, var))
+            if not todo:
+                return None
+            parent, parent_assignment, lit = todo.pop()
             nodes += 1
             if nodes > budget.max_nodes:
                 raise UndecidedError
-            branch = dict(assignment)
-            reduced = simplify(clauses, branch, lit)
-            if reduced is not None:
-                got = dpll(reduced, branch)
-                if got is not None:
-                    return got
-        return None
+            assignment = dict(parent_assignment)
+            clauses = simplify(parent, assignment, lit)
+            if clauses is not None:
+                clauses = propagate(clauses, assignment)
 
     try:
-        got = dpll(list(formula.clauses), {})
+        got = dpll()
     except UndecidedError:
         return SatResult("unknown", None, nodes)
     if got is None:

@@ -7,6 +7,8 @@ after construction, so they can be shared freely.
 
 from __future__ import annotations
 
+import heapq
+from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -176,22 +178,30 @@ def square(g: Graph) -> Graph:
 
 
 def degeneracy(g: Graph) -> tuple[int, list[int]]:
-    """Degeneracy by repeated minimum-degree peeling.
+    """Degeneracy by repeated minimum-degree peeling, the lowest index first
+    among equal degrees.  A heap keyed on (degree, vertex) with lazy deletion
+    finds each minimum in O(log n): a stale entry, left behind when a degree
+    fell, is skipped when it surfaces.
 
     Returns (d, order) where order is the elimination order used.
     """
     deg = [g.degree(v) for v in range(g.n)]
     removed = [False] * g.n
+    heap = [(d, v) for v, d in enumerate(deg)]
+    heapq.heapify(heap)
     order = []
     d = 0
-    for _ in range(g.n):
-        v = min((u for u in range(g.n) if not removed[u]), key=lambda u: (deg[u], u))
-        d = max(d, deg[v])
+    while heap:
+        dv, v = heapq.heappop(heap)
+        if removed[v] or dv != deg[v]:
+            continue
+        d = max(d, dv)
         removed[v] = True
         order.append(v)
         for u in g.adjacency[v]:
             if not removed[u]:
                 deg[u] -= 1
+                heapq.heappush(heap, (deg[u], u))
     return d, order
 
 
@@ -203,9 +213,9 @@ def is_bipartite(g: Graph) -> tuple[bool, list[int] | None]:
         if side[start] != -1:
             continue
         side[start] = 0
-        queue = [start]
+        queue = deque([start])
         while queue:
-            v = queue.pop(0)
+            v = queue.popleft()
             for u in g.adjacency[v]:
                 if side[u] == -1:
                     side[u] = 1 - side[v]

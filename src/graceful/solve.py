@@ -9,7 +9,7 @@ complete, exhausted search; budget exhaustion yields 'unknown'.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, product
+from itertools import product
 from typing import Iterator
 
 from .coloring import VertexColoring, is_distance_two_coloring, is_graceful_coloring
@@ -72,71 +72,117 @@ def _colorings(g: Graph, k: int, budget: SearchBudget, tally: list[int],
     degree (in g for graceful, in G^2 otherwise), then the lowest index.
     With symmetric, one coloring per symmetry class survives: graceful search
     caps the root vertex at ceil(k/2) (reflection c -> k+1-c), distance-two
-    search opens at most one new color per node (color interchange)."""
+    search opens at most one new color per node (color interchange).
+
+    The allowed colors are kept, not recomputed: ban[v*K + c] counts the
+    colored structures that forbid color c at the uncolored vertex v, every
+    increment is logged on a trail, and a frame undoes the trail back to the
+    mark it took when it was opened.  Only uncolored vertices are updated, so
+    a vertex's counts are exact again once the frames below it are undone."""
     n = g.n
     adj = g.adjacency
     near = square(g).adjacency
+    K = k + 1
+    ban = [0] * (n * K)
     if graceful:
         # color c offers max(c-1, k-c) distinct difference labels; a vertex of
-        # degree d needs d of them
-        domains = [[c for c in range(1, k + 1) if max(c - 1, k - c) >= len(adj[v])]
-                   for v in range(n)]
+        # degree d needs d of them, so the other colors are banned for good
         degree = [len(a) for a in adj]
+        for v in range(n):
+            for c in range(1, K):
+                if max(c - 1, k - c) < degree[v]:
+                    ban[v * K + c] = 1
     else:
-        domains = [range(1, k + 1)] * n
         degree = [len(a) for a in near]
+    # score packs (allowed colors, -degree) into one integer, so that
+    # score.index(min(score)) is the branching vertex; colored vertices carry
+    # COLORED on top and are never chosen
+    unit = max(degree, default=0) + 1
+    COLORED = K * unit
+    score = [sum(1 for c in range(1, K) if not ban[v * K + c]) * unit + unit - 1 - degree[v]
+             for v in range(n)]
     col = [0] * n
+    trail: list[int] = []
 
-    def allowed(v: int) -> list[int]:
-        banned = {col[u] for u in near[v]}
-        if graceful:
-            # Labels ban c too: a colored neighbour u may already carry the
-            # label |c - f(u)| on its edge to x, so c = 2f(u) - f(x) (c = f(x)
-            # is banned above); or two labels at v clash, |c - a| = |c - b|
-            # with a != b the colors of two neighbours, so c = (a + b) / 2.
-            seen = [cu for u in adj[v] if (cu := col[u])]
-            banned.update(2 * col[u] - col[x] for u in adj[v] if col[u]
-                          for x in adj[u] if col[x])
-            banned.update((a + b) // 2 for a, b in combinations(seen, 2)
-                          if (a + b) % 2 == 0)
-        return [c for c in domains[v] if c not in banned]
+    def forbid(w: int, c: int) -> None:
+        i = w * K + c
+        if not ban[i]:
+            score[w] -= unit
+        ban[i] += 1
+        trail.append(i)
+
+    def assign(v: int, c: int) -> None:
+        col[v] = c
+        for w in near[v]:
+            if not col[w]:
+                forbid(w, c)
+        if not graceful:
+            return
+        # Labels ban colors too, counted when the later of their participants
+        # is colored.  With v in the middle of x - v - w, w may not take
+        # 2c - f(x); with v at the far end of v - u - w, w may not take
+        # 2f(u) - c; and two labels |b - c| = |b - f(a)| clash at w when
+        # b = (f(a) + c) / 2.
+        seen = [col[x] for x in adj[v] if col[x]]
+        for w in adj[v]:
+            if col[w]:
+                continue
+            for cx in seen:
+                t = 2 * c - cx
+                if 0 < t < K:
+                    forbid(w, t)
+            for a in adj[w]:
+                ca = col[a]
+                if ca and a != v and not (ca + c) % 2:
+                    forbid(w, (ca + c) // 2)
+        for u in adj[v]:
+            t = 2 * col[u] - c
+            if col[u] and 0 < t < K:
+                for w in adj[u]:
+                    if not col[w]:
+                        forbid(w, t)
+
+    def undo(mark: int) -> None:
+        for i in trail[mark:]:
+            ban[i] -= 1
+            if not ban[i]:
+                score[i // K] += unit
+        del trail[mark:]
 
     def branch(max_used: int):  # max_used is 0 only at the root
-        best_v, best_fs = -1, None
-        for v in range(n):
-            if col[v]:
-                continue
-            fs = allowed(v)
-            if best_fs is None or (len(fs), -degree[v]) < (len(best_fs), -degree[best_v]):
-                best_v, best_fs = v, fs
-                if not fs:
-                    break
-        if best_fs is None:
+        best = min(score, default=COLORED)
+        if best >= COLORED:
             return None
+        v = score.index(best)
+        score[v] += COLORED
         if not symmetric:
             cap = k
         elif graceful:
             cap = (k + 1) // 2 if max_used == 0 else k
         else:
-            cap = max_used + 1
-        return best_v, iter([c for c in best_fs if c <= cap]), max_used
+            cap = min(max_used + 1, k)
+        colors = [c for c in range(1, cap + 1) if not ban[v * K + c]]
+        return v, iter(colors), max_used, len(trail)
 
     root = branch(0)
     if root is None:
         yield tuple(col)
         return
-    stack = [root]  # frames: (vertex, colors left to try, max color above it)
+    # frames: (vertex, colors left to try, max color above it, trail mark)
+    stack = [root]
     while stack:
-        v, colors, max_used = stack[-1]
+        v, colors, max_used, mark = stack[-1]
+        undo(mark)
         c = next(colors, None)
         if c is None:
             col[v] = 0
+            score[v] -= COLORED
             stack.pop()
             continue
         tally[0] += 1
         if tally[0] > budget.max_nodes:
             raise UndecidedError(f"search budget exhausted after {tally[0]} nodes")
-        col[v] = c
+        assign(v, c)
         frame = branch(max(max_used, c))
         if frame is None:
             yield tuple(col)

@@ -1,6 +1,7 @@
 import pytest
 
 from graceful import Graph, VertexColoring
+from graceful.reductions import NaeFormula
 
 
 @pytest.fixture
@@ -10,3 +11,15 @@ def fig1():
     g = Graph.from_edges(5, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 4), (2, 3), (2, 4)])
     f = VertexColoring((2, 4, 1, 5, 3), 5)
     return g, f
+
+
+@pytest.fixture
+def e4_6():
+    """Positive NAE-3SAT-E4 formulas on 6 variables, dealt by the pairing
+    model (four copies of each variable shuffled into clauses of three) with
+    seeds 0, 1 and 2."""
+    return tuple(NaeFormula.make(6, clauses) for clauses in (
+        ((1, 2, 3), (0, 2, 5), (0, 2, 3), (1, 3, 5), (0, 1, 4), (0, 4, 5), (2, 3, 4), (1, 4, 5)),
+        ((0, 3, 5), (0, 4, 5), (1, 2, 4), (2, 3, 5), (1, 2, 4), (0, 1, 3), (0, 4, 5), (1, 2, 3)),
+        ((0, 4, 5), (0, 1, 5), (0, 1, 2), (1, 2, 4), (2, 3, 4), (2, 3, 5), (1, 3, 5), (0, 3, 4)),
+    ))

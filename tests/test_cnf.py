@@ -99,6 +99,18 @@ def test_internal_sat_edges():
     assert res.status == "sat" and len(res.model) == 2
 
 
+def test_internal_sat_needs_no_recursion():
+    # 1100 independent blocks (a or b)(not a or not b): one decision each,
+    # and unit propagation settles b, so the search is 1100 frames deep
+    clauses = []
+    for i in range(1100):
+        a, b = 2 * i + 1, 2 * i + 2
+        clauses += [(a, b), (-a, -b)]
+    res = internal_sat(CnfFormula(2200, clauses))
+    assert (res.status, res.nodes) == ("sat", 1100)
+    assert all((res.model[2 * i] > 0) != (res.model[2 * i + 1] > 0) for i in range(1100))
+
+
 def test_internal_sat_budget():
     formula = encode_graceful(gnp_graph(6, 0.8, 1), 5)
     assert internal_sat(formula, SearchBudget(1)).status == "unknown"

@@ -5,6 +5,7 @@ from graceful import (Graph, GraphFormatError, complete_graph, cubic_graph,
                       parse_edge_list, parse_graph6, path_graph, square,
                       star_graph, structural_report, write_graph6)
 from graceful.graph import SplitMix64, complete_bipartite
+from graceful.reductions import nae_reduce, smallest_e4_instance
 
 
 def test_equality_and_hash_ignore_edge_order():
@@ -83,6 +84,31 @@ def test_degeneracy():
     assert degeneracy(star_graph(5))[0] == 1
     assert degeneracy(cycle_graph(5))[0] == 2
     assert degeneracy(complete_graph(4))[0] == 3
+
+
+def _min_peeling(g):
+    """Reference degeneracy: peel the live vertex of least (degree, index)."""
+    deg = [g.degree(v) for v in range(g.n)]
+    live = set(range(g.n))
+    d, order = 0, []
+    while live:
+        v = min(live, key=lambda u: (deg[u], u))
+        d = max(d, deg[v])
+        live.remove(v)
+        order.append(v)
+        for u in g.adjacency[v] & live:
+            deg[u] -= 1
+    return d, order
+
+
+def test_degeneracy_matches_min_peeling(e4_6):
+    graphs = [gnp_graph(n, p, seed) for n in (1, 5, 12, 30) for p in (0.1, 0.3, 0.6)
+              for seed in range(3)]
+    graphs += [cubic_graph(n, seed) for n in (8, 20, 40) for seed in range(3)]
+    graphs.append(nae_reduce(smallest_e4_instance()).graph)
+    graphs.append(nae_reduce(e4_6[0]).graph)
+    for g in graphs:
+        assert degeneracy(g) == _min_peeling(g)
 
 
 def test_degeneracy_below_max_degree():

@@ -1,0 +1,59 @@
+"""Pinned search-node counts.  Node counts are machine independent and follow
+from the branching order alone, so any change to the order in which the
+search picks vertices and colors changes some number here.  A change that
+means to alter the order must say so and update the pins."""
+
+import pytest
+
+from graceful import (SearchBudget, cubic_graph, distance_two_chromatic_number,
+                      graceful_chromatic_number, graceful_k_colorable,
+                      hypercube_graph, petersen_graph)
+from graceful.reductions import (clause_gadget, nae_reduce,
+                                 smallest_e4_instance, variable_gadget,
+                                 verify_gadget)
+
+
+def _decided(g, k, budget):
+    dec = graceful_k_colorable(g, k, SearchBudget(budget))
+    return dec.status, dec.nodes
+
+
+def test_reduced_e4_3_at_k4():
+    g = nae_reduce(smallest_e4_instance()).graph
+    assert _decided(g, 4, 3000) == ("yes", 351)
+
+
+@pytest.mark.parametrize("i", range(3))
+def test_reduced_e4_6(e4_6, i):
+    g = nae_reduce(e4_6[i]).graph
+    # at k = 4 the budget runs out first, so this pins the budget accounting;
+    # the k = 5 decisions depend on the branching order
+    assert _decided(g, 4, 1500) == ("unknown", 1501)
+    assert _decided(g, 5, 1500) == ("yes", (256, 254, 255)[i])
+
+
+def test_reduced_e4_6_full_decision(e4_6):
+    g = nae_reduce(e4_6[0]).graph
+    assert _decided(g, 4, 50000) == ("yes", 44247)
+
+
+@pytest.mark.parametrize("n, nodes", [(12, 32), (14, 32), (16, 68), (18, 44)])
+def test_cubic_at_k5(n, nodes):
+    assert _decided(cubic_graph(n, 0), 5, 10 ** 7) == ("no", nodes)
+
+
+@pytest.mark.parametrize("g, chi2, chig", [
+    (petersen_graph(), (10, 49), (10, 59)),
+    (hypercube_graph(3), (4, 8), (5, 18)),
+])
+def test_chromatic_numbers(g, chi2, chig):
+    res = distance_two_chromatic_number(g)
+    assert (res.status, res.value, res.nodes) == ("ok", *chi2)
+    res = graceful_chromatic_number(g)
+    assert (res.status, res.value, res.nodes) == ("ok", *chig)
+
+
+@pytest.mark.parametrize("make, count", [(variable_gadget, 16), (clause_gadget, 48)])
+def test_gadget_enumeration(make, count):
+    report = verify_gadget(make())
+    assert report.certified and report.colorings_enumerated == count
