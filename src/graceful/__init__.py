@@ -4,7 +4,7 @@ NAE satisfiability."""
 
 from .coloring import (EdgeLabelling, VertexColoring, Violation,
                        induced_difference_labelling, is_distance_two_coloring,
-                       is_graceful_coloring, is_graceful_labelling)
+                       is_graceful_coloring)
 from .graph import (Graph, GraphFormatError, StructuralReport, complete_bipartite,
                     complete_graph, cubic_graph, cycle_graph, degeneracy,
                     generate, gnp_graph, hypercube_graph, parse_edge_list,

@@ -13,8 +13,7 @@ import subprocess
 import sys
 
 from . import cnf, reductions, sequences, solve
-from .coloring import (VertexColoring, is_distance_two_coloring,
-                       is_graceful_coloring, is_graceful_labelling)
+from .coloring import VertexColoring, is_distance_two_coloring, is_graceful_coloring
 from .graph import (Graph, GraphFormatError, generate, parse_edge_list,
                     parse_graph6, structural_report, write_graph6)
 
@@ -42,14 +41,8 @@ def read_graph(path: str) -> Graph:
     return parse_graph6(first)
 
 
-def emit(payload: dict, fmt: str) -> None:
-    payload = {"schema": SCHEMA, **payload}
-    if fmt == "json":
-        print(json.dumps(payload, sort_keys=True))
-    else:
-        for key, val in payload.items():
-            if key != "schema":
-                print(f"{key}: {val}")
+def emit(payload: dict) -> None:
+    print(json.dumps({"schema": SCHEMA, **payload}, sort_keys=True))
 
 
 def _witness(coloring: VertexColoring | None):
@@ -62,25 +55,16 @@ def _budget(args) -> solve.SearchBudget:
 
 def cmd_an(args) -> int:
     value, witness = sequences.a_of_n(args.n)
-    emit({"n": args.n, "a": value, "witness": list(witness.elements)}, args.format)
+    emit({"n": args.n, "a": value, "witness": list(witness.elements)})
     return EXIT_OK
 
 
-def cmd_chig(args) -> int:
-    g = read_graph(args.graph)
-    res = solve.graceful_chromatic_number(g, _budget(args))
+def cmd_chromatic(args) -> int:
+    number = (solve.graceful_chromatic_number if args.command == "chig"
+              else solve.distance_two_chromatic_number)
+    res = number(read_graph(args.graph), _budget(args))
     emit({"answer": res.status, "value": res.value,
-          "witness": _witness(res.coloring), "nodes_searched": res.nodes},
-         args.format)
-    return EXIT_OK if res.status == "ok" else EXIT_UNKNOWN
-
-
-def cmd_chi2(args) -> int:
-    g = read_graph(args.graph)
-    res = solve.distance_two_chromatic_number(g, _budget(args))
-    emit({"answer": res.status, "value": res.value,
-          "witness": _witness(res.coloring), "nodes_searched": res.nodes},
-         args.format)
+          "witness": _witness(res.coloring), "nodes_searched": res.nodes})
     return EXIT_OK if res.status == "ok" else EXIT_UNKNOWN
 
 
@@ -90,7 +74,7 @@ def cmd_decide(args) -> int:
           else solve.graceful_k_colorable)
     dec = fn(g, args.k, _budget(args))
     emit({"answer": dec.status, "k": args.k, "witness": _witness(dec.coloring),
-          "nodes_searched": dec.nodes}, args.format)
+          "nodes_searched": dec.nodes})
     return EXIT_OK if dec.status in ("yes", "no") else EXIT_UNKNOWN
 
 
@@ -99,11 +83,6 @@ def cmd_verify(args) -> int:
     colors = json.loads(_read_text(args.coloring))
     if not isinstance(colors, list) or not all(isinstance(c, int) for c in colors):
         raise ValueError("coloring file must be a JSON array of integers")
-    if args.check == "labelling":
-        ok = is_graceful_labelling(g, colors)
-        emit({"answer": "valid" if ok else "invalid", "check": args.check},
-             args.format)
-        return EXIT_OK
     f = VertexColoring(tuple(colors), max(colors))
     checker = (is_distance_two_coloring if args.check == "distance2"
                else is_graceful_coloring)
@@ -112,14 +91,14 @@ def cmd_verify(args) -> int:
     if viol is not None:
         payload["violation"] = {"kind": viol.kind, "u": viol.u, "v": viol.v,
                                 "via": viol.via}
-    emit(payload, args.format)
+    emit(payload)
     return EXIT_OK
 
 
 def cmd_bounds(args) -> int:
     g = read_graph(args.graph)
     lo, hi = solve.bounds(g, _budget(args))
-    emit({"lower": lo, "upper": hi}, args.format)
+    emit({"lower": lo, "upper": hi})
     return EXIT_OK
 
 
@@ -127,7 +106,7 @@ def cmd_gen(args) -> int:
     g = generate(args.kind, *args.params)
     rep = structural_report(g)
     emit({"graph6": write_graph6(g), "n": g.n, "m": g.m,
-          "max_degree": rep.max_degree}, args.format)
+          "max_degree": rep.max_degree})
     return EXIT_OK
 
 
@@ -136,12 +115,12 @@ def cmd_reduce(args) -> int:
         g = read_graph(args.input)
         out = reductions.construction1(g, args.k)
         emit({"graph6": write_graph6(out), "n": out.n, "m": out.m,
-              "k": args.k}, args.format)
+              "k": args.k})
         return EXIT_OK
-    phi = reductions.parse_nae(_read_text(args.input), args.strict_sets)
+    phi = reductions.parse_nae(_read_text(args.input))
     out = reductions.nae_reduce(phi)
     payload = {
-        "graph6": write_graph6(out.graph) if out.graph.n <= 62 else None,
+        "graph6": write_graph6(out.graph),
         "n": out.graph.n, "m": out.graph.m,
         "port_edges": [list(e) for e in out.port_edges],
         "provenance": {str(v): list(p) for v, p in sorted(out.provenance.items())},
@@ -151,7 +130,7 @@ def cmd_reduce(args) -> int:
             json.dump(payload, fh, indent=2, sort_keys=True)
         payload = {k: v for k, v in payload.items() if k != "provenance"}
         payload["sidecar"] = args.sidecar
-    emit(payload, args.format)
+    emit(payload)
     return EXIT_OK
 
 
@@ -163,13 +142,13 @@ def cmd_gadget(args) -> int:
           "colorings_enumerated": report.colorings_enumerated,
           "rows": [{"name": r.name, "mode": r.mode, "ok": r.ok,
                     "counterexample": list(r.counterexample) if r.counterexample else None}
-                   for r in report.rows]}, args.format)
+                   for r in report.rows]})
     return EXIT_OK if report.certified else EXIT_INPUT
 
 
 def cmd_check(args) -> int:
     if args.target == "nae":
-        phi = reductions.parse_nae(_read_text(args.input), args.strict_sets)
+        phi = reductions.parse_nae(_read_text(args.input))
         res = reductions.check_nae_reduction(phi, _budget(args))
     else:
         g = read_graph(args.input)
@@ -177,7 +156,7 @@ def cmd_check(args) -> int:
     payload = {"answer": res.status}
     payload.update({k: v for k, v in res.details.items()
                     if isinstance(v, (int, str, bool, type(None)))})
-    emit(payload, args.format)
+    emit(payload)
     if res.status == "unknown":
         return EXIT_UNKNOWN
     return EXIT_OK if res.status == "consistent" else EXIT_INPUT
@@ -191,7 +170,7 @@ def cmd_encode(args) -> int:
         with open(args.output, "w") as fh:
             fh.write(text)
         emit({"vars": formula.num_vars, "clauses": len(formula.clauses),
-              "output": args.output}, args.format)
+              "output": args.output})
     else:
         sys.stdout.write(text)
     return EXIT_OK
@@ -204,8 +183,7 @@ def cmd_solve(args) -> int:
         proc = subprocess.run(args.external, shell=True,
                               input=cnf.write_dimacs(formula),
                               capture_output=True, text=True)
-        verdict, model = cnf.parse_solver_output(proc.stdout)
-        status = "sat" if verdict == "sat" else "unsat"
+        status, model = cnf.parse_solver_output(proc.stdout)
         nodes = 0
     else:
         res = cnf.internal_sat(formula, _budget(args))
@@ -213,39 +191,40 @@ def cmd_solve(args) -> int:
     if status == "sat":
         coloring = cnf.decode_model(formula, model)
         emit({"answer": "yes", "k": args.k, "witness": list(coloring.colors),
-              "nodes_searched": nodes}, args.format)
+              "nodes_searched": nodes})
         return EXIT_OK
     if status == "unsat":
         emit({"answer": "no", "k": args.k, "witness": None,
-              "nodes_searched": nodes}, args.format)
+              "nodes_searched": nodes})
         return EXIT_OK
-    emit({"answer": "unknown", "k": args.k, "nodes_searched": nodes}, args.format)
+    emit({"answer": "unknown", "k": args.k, "nodes_searched": nodes})
     return EXIT_UNKNOWN
 
 
 def build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(prog="graceful")
     sub = top.add_subparsers(dest="command", required=True)
+    inputs = {"graph": "graph file (graph6 or edge list), or -",
+              "input": "graph or NAE formula file, or -"}
 
-    def common(p, graph_arg=True):
-        p.add_argument("--budget", type=int, default=solve.DEFAULT_BUDGET,
-                       help="search-node budget")
-        p.add_argument("--format", choices=("json", "text"), default="json")
-        if graph_arg:
-            p.add_argument("graph", help="graph file (graph6 or edge list), or -")
+    def common(p, graph="graph", budget=True):
+        if budget:
+            p.add_argument("--budget", type=int, default=solve.DEFAULT_BUDGET,
+                           help="search-node budget")
+        if graph:
+            p.add_argument(graph, help=inputs[graph])
 
     p = sub.add_parser("an", help="minimum span a(n) of an AP-free n-set")
     p.add_argument("n", type=int)
-    p.add_argument("--format", choices=("json", "text"), default="json")
     p.set_defaults(fn=cmd_an)
 
     p = sub.add_parser("chig", help="graceful chromatic number")
     common(p)
-    p.set_defaults(fn=cmd_chig)
+    p.set_defaults(fn=cmd_chromatic)
 
     p = sub.add_parser("chi2", help="distance-two chromatic number")
     common(p)
-    p.set_defaults(fn=cmd_chi2)
+    p.set_defaults(fn=cmd_chromatic)
 
     p = sub.add_parser("decide", help="graceful k-colorability decision")
     p.add_argument("--k", type=int, required=True)
@@ -257,9 +236,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="verify a coloring file against a graph")
     p.add_argument("--coloring", required=True,
                    help="JSON array of colors indexed by vertex")
-    p.add_argument("--check", choices=("graceful", "distance2", "labelling"),
-                   default="graceful")
-    common(p)
+    p.add_argument("--check", choices=("graceful", "distance2"), default="graceful")
+    common(p, budget=False)
     p.set_defaults(fn=cmd_verify)
 
     p = sub.add_parser("bounds", help="chi(G^2) <= chi_g(G) <= a(chi(G^2))")
@@ -269,40 +247,31 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gen", help="generate a named graph, print graph6")
     p.add_argument("kind", choices=("complete", "path", "cycle", "star", "gnp", "cubic"))
     p.add_argument("params", nargs="*")
-    p.add_argument("--format", choices=("json", "text"), default="json")
     p.set_defaults(fn=cmd_gen)
 
     p = sub.add_parser("reduce", help="run a reduction")
     p.add_argument("target", choices=("construction1", "nae"))
     p.add_argument("--k", type=int, default=5)
-    p.add_argument("--strict-sets", action="store_true")
     p.add_argument("--sidecar", help="write provenance JSON to this path")
-    p.add_argument("--budget", type=int, default=solve.DEFAULT_BUDGET)
-    p.add_argument("--format", choices=("json", "text"), default="json")
-    p.add_argument("input", help="graph or NAE formula file, or -")
+    common(p, graph="input", budget=False)
     p.set_defaults(fn=cmd_reduce)
 
     p = sub.add_parser("gadget", help="certify a reduction gadget")
     p.add_argument("action", choices=("verify",))
     p.add_argument("which", choices=("variable", "clause"))
-    p.add_argument("--budget", type=int, default=solve.DEFAULT_BUDGET)
-    p.add_argument("--format", choices=("json", "text"), default="json")
+    common(p, graph=None)
     p.set_defaults(fn=cmd_gadget)
 
     p = sub.add_parser("check", help="machine-check a reduction guarantee")
     p.add_argument("target", choices=("nae", "construction1"))
     p.add_argument("--k", type=int, default=5)
-    p.add_argument("--strict-sets", action="store_true")
-    p.add_argument("--budget", type=int, default=solve.DEFAULT_BUDGET)
-    p.add_argument("--format", choices=("json", "text"), default="json")
-    p.add_argument("input")
+    common(p, graph="input")
     p.set_defaults(fn=cmd_check)
 
     p = sub.add_parser("encode", help="emit DIMACS CNF for graceful k-coloring")
     p.add_argument("--k", type=int, required=True)
     p.add_argument("-o", "--output")
-    p.add_argument("--format", choices=("json", "text"), default="json")
-    p.add_argument("graph")
+    common(p, budget=False)
     p.set_defaults(fn=cmd_encode)
 
     p = sub.add_parser("solve", help="decide via the CNF route")

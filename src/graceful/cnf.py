@@ -146,7 +146,7 @@ def write_dimacs(formula: CnfFormula) -> str:
 def parse_solver_output(text: str):
     """Parse SAT-competition style output: 's ...' verdict plus 'v' lines.
 
-    Returns ('sat', model) or ('unsat', None)."""
+    Returns ('sat', model), ('unsat', None) or ('unknown', None)."""
     verdict = None
     model: list[int] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -159,6 +159,8 @@ def parse_solver_output(text: str):
                 verdict = "sat"
             elif word == "UNSATISFIABLE":
                 verdict = "unsat"
+            elif word == "UNKNOWN":
+                verdict = "unknown"
             else:
                 raise ValueError(f"line {lineno}: unknown verdict {word!r}")
         elif line.startswith("v "):

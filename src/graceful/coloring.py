@@ -1,5 +1,5 @@
 """Vertex colorings, induced difference edge labellings, and the verifiers
-for graceful / distance-two colorings and graceful labellings.
+for graceful / distance-two colorings.
 
 Palette convention follows the literature: colors are 1..k.  A label 0 can
 only arise from an improper coloring and is reported as such.
@@ -90,18 +90,3 @@ def is_graceful_coloring(g: Graph, f: VertexColoring) -> tuple[bool, Violation |
                 return False, Violation("label", seen[lab], u, via=v)
             seen[lab] = u
     return True, None
-
-
-def is_graceful_labelling(g: Graph, f) -> bool:
-    """Classical graceful labelling check: f injective into {0..m} and the
-    induced labels an injection into {1..m}."""
-    m = g.m
-    vals = list(f)
-    if len(vals) != g.n:
-        raise ValueError("labelling size mismatch")
-    if any(not (0 <= x <= m) for x in vals):
-        return False
-    if len(set(vals)) != g.n:
-        return False
-    labels = [abs(vals[u] - vals[v]) for u, v in g.edges()]
-    return len(set(labels)) == m and all(1 <= l <= m for l in labels)

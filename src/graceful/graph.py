@@ -55,15 +55,17 @@ class Graph:
     def has_edge(self, u: int, v: int) -> bool:
         return v in self.adjacency[u]
 
-    def neighbors(self, v: int) -> frozenset[int]:
-        return self.adjacency[v]
-
 
 # ---------------------------------------------------------------------------
-# graph6 (short form, n <= 62)
+# graph6 (nauty's formats.txt): n in one byte for n <= 62, or '~' and three
+# bytes for 63 <= n <= 258047; then the upper triangle of the adjacency matrix
+# column by column, six bits to a byte.
+
+_GRAPH6_MAX_N = 258047
+
 
 def parse_graph6(text: str) -> Graph:
-    """Decode a short-form graph6 line into a Graph.
+    """Decode a graph6 line into a Graph.
 
     Errors report the byte offset of the offending character.
     """
@@ -72,27 +74,35 @@ def parse_graph6(text: str) -> Graph:
         raise GraphFormatError("empty graph6 string")
     if s.startswith(">>graph6<<"):
         s = s[len(">>graph6<<"):]
-    first = ord(s[0])
-    if first == 126:
-        raise GraphFormatError(
-            "long-form graph6 header at byte 0: only n <= 62 supported")
-    if not (63 <= first <= 125):
-        raise GraphFormatError(f"out-of-range byte {first} at offset 0")
-    n = first - 63
+    header = range(1)
+    if s[0] == "~":
+        if s[1:2] == "~":
+            raise GraphFormatError(
+                f"8-byte graph6 header at byte 0: only n <= {_GRAPH6_MAX_N} supported")
+        if len(s) < 4:
+            raise GraphFormatError(
+                f"truncated long-form header: need 3 bytes after '~', got {len(s) - 1}")
+        header = range(1, 4)
+    n = 0
+    for off in header:
+        b = ord(s[off])
+        if not (63 <= b <= 126):
+            raise GraphFormatError(f"out-of-range byte {b} at offset {off}")
+        n = (n << 6) | (b - 63)
     nbits = n * (n - 1) // 2
     need = (nbits + 5) // 6
-    body = s[1:]
+    body = s[header.stop:]
     if len(body) < need:
         raise GraphFormatError(
             f"truncated bit vector: need {need} bytes after header, got {len(body)}")
     if len(body) > need:
         raise GraphFormatError(
-            f"trailing data at offset {1 + need}: expected {need} body bytes")
+            f"trailing data at offset {header.stop + need}: expected {need} body bytes")
     bits: list[int] = []
     for off, ch in enumerate(body):
         b = ord(ch)
         if not (63 <= b <= 126):
-            raise GraphFormatError(f"out-of-range byte {b} at offset {off + 1}")
+            raise GraphFormatError(f"out-of-range byte {b} at offset {off + header.stop}")
         v = b - 63
         bits.extend((v >> shift) & 1 for shift in range(5, -1, -1))
     if any(bits[nbits:]):
@@ -108,16 +118,19 @@ def parse_graph6(text: str) -> Graph:
 
 
 def write_graph6(g: Graph) -> str:
-    """Encode a Graph as a short-form graph6 line (requires n <= 62)."""
-    if g.n > 62:
-        raise ValueError(f"n={g.n} exceeds short-form graph6 range (n <= 62)")
+    """Encode a Graph as a graph6 line (requires n <= 258047)."""
+    if g.n > _GRAPH6_MAX_N:
+        raise ValueError(f"n={g.n} exceeds graph6 range (n <= {_GRAPH6_MAX_N})")
     bits = []
     for v in range(1, g.n):
         for u in range(v):
             bits.append(1 if g.has_edge(u, v) else 0)
     while len(bits) % 6:
         bits.append(0)
-    out = [chr(g.n + 63)]
+    if g.n < 63:
+        out = [chr(g.n + 63)]
+    else:
+        out = ["~"] + [chr((g.n >> shift & 63) + 63) for shift in (12, 6, 0)]
     for i in range(0, len(bits), 6):
         v = 0
         for b in bits[i:i + 6]:

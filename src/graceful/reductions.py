@@ -111,12 +111,10 @@ def check_construction1_guarantee(g: Graph, k: int,
                                   budget: SearchBudget = SearchBudget()) -> ConsistencyResult:
     """Machine-check: construction1(g,k) graceful k-colorable iff g is
     distance-two 4-colorable, both sides exact."""
-    if not 5 <= k <= 8:
-        raise ValueError("desk-scale check supports k in 5..8")
+    gk = construction1(g, k)
     d2 = distance_two_k_colorable(g, 4, budget)
     if d2.status == "unknown":
         return ConsistencyResult("unknown")
-    gk = construction1(g, k)
     gr = graceful_k_colorable(gk, k, budget)
     if gr.status == "unknown":
         return ConsistencyResult("unknown")
@@ -144,7 +142,7 @@ class NaeFormula:
     clauses: tuple[tuple[int, int, int], ...]
 
     @staticmethod
-    def make(num_vars: int, clauses, strict_sets: bool = False) -> "NaeFormula":
+    def make(num_vars: int, clauses) -> "NaeFormula":
         norm = []
         for cl in clauses:
             cl = tuple(sorted(cl))
@@ -153,8 +151,6 @@ class NaeFormula:
             if any(not 0 <= x < num_vars for x in cl):
                 raise ValueError(f"clause {cl} has out-of-range variable")
             norm.append(cl)
-        if strict_sets and len(set(norm)) != len(norm):
-            raise ValueError("duplicate clauses rejected in strict-set mode")
         occur = [0] * num_vars
         for cl in norm:
             for x in cl:
@@ -165,7 +161,7 @@ class NaeFormula:
         return NaeFormula(num_vars, tuple(norm))
 
 
-def parse_nae(text: str, strict_sets: bool = False) -> NaeFormula:
+def parse_nae(text: str) -> NaeFormula:
     """Text format: header 'p nae <num_vars> <num_clauses>', then one line
     per clause with three 1-based variable indices."""
     lines = [ln for ln in (raw.strip() for raw in text.splitlines())
@@ -186,7 +182,7 @@ def parse_nae(text: str, strict_sets: bool = False) -> NaeFormula:
         if any(not 1 <= x <= nv for x in idx):
             raise ValueError(f"clause line {ln!r} has out-of-range variable")
         clauses.append(tuple(x - 1 for x in idx))
-    return NaeFormula.make(nv, clauses, strict_sets)
+    return NaeFormula.make(nv, clauses)
 
 
 def write_nae(phi: NaeFormula) -> str:
@@ -434,8 +430,6 @@ def check_nae_reduction(phi: NaeFormula,
                         budget: SearchBudget = SearchBudget()) -> ConsistencyResult:
     """Compare brute-force NAE satisfiability against graceful
     4-colorability of the reduced graph."""
-    if phi.num_vars > 6:
-        raise ValueError("end-to-end check limited to 6 variables")
     sat = brute_force_nae(phi)
     out = nae_reduce(phi)
     dec = graceful_k_colorable(out.graph, 4, budget)

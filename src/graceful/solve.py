@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
-from typing import Iterator
+from typing import Callable, Iterator
 
 from .coloring import VertexColoring, is_distance_two_coloring, is_graceful_coloring
 from .graph import Graph, square
@@ -240,23 +240,32 @@ def graceful_k_colorable_bruteforce(g: Graph, k: int) -> Decision:
 # ---------------------------------------------------------------------------
 # Chromatic-number iterations
 
-def distance_two_chromatic_number(g: Graph,
-                                  budget: SearchBudget = SearchBudget()) -> OptimumResult:
-    """chi(G^2) by upward iteration from the trivial lower bound
-    max_v d(v) + 1 (a vertex and its neighbours are mutually constrained)."""
-    if g.n == 0:
-        return OptimumResult("ok", 0, None, 0)
-    total = 0
-    k = max((g.degree(v) for v in range(g.n)), default=0) + 1
-    while k <= g.n:
-        dec = distance_two_k_colorable(g, k, SearchBudget(max(1, budget.max_nodes - total)))
+def _least_k(g: Graph, k: int, budget: SearchBudget, total: int, graceful: bool,
+             ceiling: Callable[[int], bool]) -> OptimumResult:
+    """The least k' >= k with a coloring, deciding k, k+1, ... in turn and
+    adding each decision's nodes to total.  A 'no' at a k where ceiling(k)
+    holds contradicts a proven upper bound and is raised as a defect."""
+    while True:
+        dec = _decide(g, k, SearchBudget(max(1, budget.max_nodes - total)), graceful)
         total += dec.nodes
         if dec.status == "yes":
             return OptimumResult("ok", k, dec.coloring, total)
         if dec.status == "unknown":
             return OptimumResult("unknown", None, None, total)
+        if ceiling(k):
+            raise InternalConsistencyError(f"no coloring at k={k}, a proven upper bound")
         k += 1
-    raise InternalConsistencyError("n colors always distance-two color an n-vertex graph")
+
+
+def distance_two_chromatic_number(g: Graph,
+                                  budget: SearchBudget = SearchBudget()) -> OptimumResult:
+    """chi(G^2) by upward iteration from the trivial lower bound
+    max_v d(v) + 1 (a vertex and its neighbours are mutually constrained).
+    n colors always suffice."""
+    if g.n == 0:
+        return OptimumResult("ok", 0, None, 0)
+    start = max(g.degree(v) for v in range(g.n)) + 1
+    return _least_k(g, start, budget, 0, False, lambda k: k >= g.n)
 
 
 def graceful_chromatic_number(g: Graph,
@@ -270,19 +279,9 @@ def graceful_chromatic_number(g: Graph,
     lower = distance_two_chromatic_number(g, budget)
     if lower.status != "ok":
         return OptimumResult("unknown", None, None, lower.nodes)
-    total = lower.nodes
-    k = lower.value
-    while True:
-        dec = graceful_k_colorable(g, k, SearchBudget(max(1, budget.max_nodes - total)))
-        total += dec.nodes
-        if dec.status == "yes":
-            return OptimumResult("ok", k, dec.coloring, total)
-        if dec.status == "unknown":
-            return OptimumResult("unknown", None, None, total)
-        if lower.value <= MAX_N and k >= a_of_n(lower.value)[0]:
-            raise InternalConsistencyError(
-                f"no graceful coloring found up to the proven ceiling a({lower.value})={k}")
-        k += 1
+    q = lower.value
+    return _least_k(g, q, budget, lower.nodes, True,
+                    lambda k: q <= MAX_N and k >= a_of_n(q)[0])
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import json
+import sys
 
 import pytest
 
@@ -147,3 +148,36 @@ def test_byte_identical_output(capsys, tmp_path):
     first = capsys.readouterr().out
     main(["chig", str(p)])
     assert capsys.readouterr().out == first
+
+
+def test_gen_long_form_graph6(capsys):
+    code, payload = run(capsys, "gen", "cubic", "64", "1")
+    assert code == 0 and payload["n"] == 64 and payload["graph6"][0] == "~"
+
+
+def test_reduce_nae_graph6_feeds_decide(capsys, tmp_path):
+    phi = tmp_path / "phi.nae"
+    phi.write_text("p nae 3 4\n1 2 3\n1 2 3\n1 2 3\n1 2 3\n")
+    code, payload = run(capsys, "reduce", "nae", str(phi))
+    assert code == 0
+    g = tmp_path / "reduced.g6"
+    g.write_text(payload["graph6"] + "\n")
+    code, payload = run(capsys, "decide", "--k", "4", "--budget", "3000", str(g))
+    assert code == 0 and payload["answer"] == "yes"
+    assert payload["nodes_searched"] == 351
+
+
+def test_check_nae_nine_variables_is_undecided(capsys, tmp_path):
+    phi = tmp_path / "phi9.nae"
+    clauses = [f"{a} {a + 1} {a + 2}\n" for a in (1, 4, 7) for _ in range(4)]
+    phi.write_text("p nae 9 12\n" + "".join(clauses))
+    code, payload = run(capsys, "check", "nae", "--budget", "200", str(phi))
+    assert code == 2 and payload["answer"] == "unknown"
+
+
+def test_solve_external_unknown_verdict(capsys, tmp_path):
+    g = tmp_path / "k3.txt"
+    g.write_text("3 3\n0 1\n1 2\n0 2\n")
+    solver = f"{sys.executable} -c \"print('s UNKNOWN')\""
+    code, payload = run(capsys, "solve", "--k", "5", "--external", solver, str(g))
+    assert code == 2 and payload["answer"] == "unknown"

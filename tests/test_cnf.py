@@ -70,6 +70,7 @@ def test_write_dimacs():
 
 def test_parse_solver_output():
     assert parse_solver_output("s UNSATISFIABLE\n") == ("unsat", None)
+    assert parse_solver_output("s UNKNOWN\n") == ("unknown", None)
     verdict, model = parse_solver_output("c comment\ns SATISFIABLE\nv 1 -2\nv 3 0\n")
     assert verdict == "sat" and model == [1, -2, 3]
     with pytest.raises(ValueError, match="line 1"):

@@ -2,7 +2,7 @@ import pytest
 
 from graceful import (Graph, VertexColoring, complete_graph, cycle_graph,
                       induced_difference_labelling, is_distance_two_coloring,
-                      is_graceful_coloring, is_graceful_labelling, path_graph)
+                      is_graceful_coloring, path_graph)
 
 
 def test_induced_labelling_reference_graph(fig1):
@@ -57,11 +57,3 @@ def test_every_graceful_coloring_is_distance_two(fig1):
     g, f = fig1
     assert is_graceful_coloring(g, f)[0]
     assert is_distance_two_coloring(g, f)[0]
-
-
-def test_graceful_labelling():
-    assert is_graceful_labelling(path_graph(2), [0, 1])
-    assert is_graceful_labelling(path_graph(3), [0, 2, 1])
-    assert is_graceful_labelling(complete_graph(3), [0, 1, 3])
-    assert not is_graceful_labelling(path_graph(3), [0, 1, 2])  # labels 1,1
-    assert not is_graceful_labelling(path_graph(3), [0, 0, 2])  # not injective

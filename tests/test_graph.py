@@ -37,7 +37,23 @@ def test_graph6_roundtrip_random():
         assert write_graph6(parse_graph6(s)) == s
 
 
-@pytest.mark.parametrize("bad", ["", "~??", "A", "A_x", chr(20) + "_"])
+@pytest.mark.parametrize("n", [63, 64, 126, 300])
+def test_graph6_long_form_roundtrip(n):
+    g = gnp_graph(n, 0.1, n)
+    s = write_graph6(g)
+    assert s[0] == "~" and len(s) == 4 + (n * (n - 1) // 2 + 5) // 6
+    assert parse_graph6(s) == g
+    assert write_graph6(parse_graph6(s)) == s
+
+
+def test_graph6_long_form_header():
+    # nauty's formats.txt: N(460) = 126 63 70 75
+    assert write_graph6(Graph.from_edges(460, []))[:4] == "~?FK"
+    assert write_graph6(Graph.from_edges(62, []))[0] == chr(62 + 63)
+
+
+@pytest.mark.parametrize("bad", ["", "~??", "~~??????", "~?F" + chr(20),
+                                 "A", "A_x", chr(20) + "_"])
 def test_graph6_malformed(bad):
     with pytest.raises(GraphFormatError):
         parse_graph6(bad)

@@ -79,6 +79,9 @@ def test_guarantee_check():
     assert check_construction1_guarantee(complete_graph(4), 5).status == "consistent"
     assert check_construction1_guarantee(complete_bipartite(3, 3), 6).status == "consistent"
     assert check_construction1_guarantee(petersen_graph(), 5).status == "consistent"
+    assert check_construction1_guarantee(complete_graph(4), 9).status == "consistent"
+    with pytest.raises(ValueError, match="k must be >= 5"):
+        check_construction1_guarantee(complete_graph(4), 4)
 
 
 # ---------------------------------------------------------------------------
@@ -91,8 +94,6 @@ def test_nae_formula_validation():
         NaeFormula.make(3, [(0, 0, 1)] * 4)
     with pytest.raises(ValueError, match="four"):
         NaeFormula.make(3, [(0, 1, 2)] * 3)
-    with pytest.raises(ValueError, match="strict"):
-        NaeFormula.make(3, [(0, 1, 2)] * 4, strict_sets=True)
 
 
 def test_nae_text_roundtrip():
