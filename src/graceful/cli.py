@@ -83,7 +83,7 @@ def cmd_verify(args) -> int:
     colors = json.loads(_read_text(args.coloring))
     if not isinstance(colors, list) or not all(isinstance(c, int) for c in colors):
         raise ValueError("coloring file must be a JSON array of integers")
-    f = VertexColoring(tuple(colors), max(colors))
+    f = VertexColoring(tuple(colors), max(colors, default=0))
     checker = (is_distance_two_coloring if args.check == "distance2"
                else is_graceful_coloring)
     ok, viol = checker(g, f)

@@ -12,6 +12,14 @@ Variable x_{v,c} (id v*k + c) means vertex v gets color c.  Clause families:
 where paths = sum_v C(d(v),2) and T(k) counts ordered same-parity color
 pairs (cu, cw), cu != cw; the middle color is then forced to (cu+cw)/2.
 The cu == cw half of the path constraint is exactly family d2.
+
+The DPLL below propagates unit clauses and has no pure-literal rule, since
+no literal of these formulas is ever pure.  After unit propagation an
+unassigned x_{v,c} still sits in v's family-a clause: a true x_{v,c'} would
+have set it false through family b, and were every other color of v false
+the family-a clause would be a unit.  So some other x_{v,c'} is unassigned,
+the family-b clause (-x_{v,c} v -x_{v,c'}) is still open, and x_{v,c}
+occurs with both signs.
 """
 
 from __future__ import annotations
@@ -21,14 +29,13 @@ from typing import Sequence
 
 from .coloring import VertexColoring, is_graceful_coloring
 from .graph import Graph, square
-from .solve import SearchBudget, UndecidedError
+from .solve import SearchBudget
 
 
 @dataclass
 class CnfFormula:
     num_vars: int
     clauses: list[tuple[int, ...]]
-    varmap: dict[tuple[int, int], int] = field(default_factory=dict)
     graph: Graph | None = None
     k: int = 0
     family_counts: dict[str, int] = field(default_factory=dict)
@@ -63,21 +70,20 @@ def encode_graceful(g: Graph, k: int) -> CnfFormula:
     """CNF satisfiable iff g has a graceful k-coloring."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    varmap = {(v, c): v * k + c for v in range(g.n) for c in range(1, k + 1)}
     clauses: list[tuple[int, ...]] = []
     counts = {"a": 0, "b": 0, "c": 0, "d2": 0, "d3": 0}
 
     for v in range(g.n):
-        clauses.append(tuple(varmap[v, c] for c in range(1, k + 1)))
+        clauses.append(tuple(v * k + c for c in range(1, k + 1)))
         counts["a"] += 1
     for v in range(g.n):
         for c1 in range(1, k + 1):
             for c2 in range(c1 + 1, k + 1):
-                clauses.append((-varmap[v, c1], -varmap[v, c2]))
+                clauses.append((-(v * k + c1), -(v * k + c2)))
                 counts["b"] += 1
     for u, v in g.edges():
         for c in range(1, k + 1):
-            clauses.append((-varmap[u, c], -varmap[v, c]))
+            clauses.append((-(u * k + c), -(v * k + c)))
             counts["c"] += 1
     sq = square(g)
     originals = set(g.edges())
@@ -85,7 +91,7 @@ def encode_graceful(g: Graph, k: int) -> CnfFormula:
         if (u, v) in originals:
             continue
         for c in range(1, k + 1):
-            clauses.append((-varmap[u, c], -varmap[v, c]))
+            clauses.append((-(u * k + c), -(v * k + c)))
             counts["d2"] += 1
     # equal-difference triples on paths u - mid - w with distinct endpoint colors
     for mid in range(g.n):
@@ -98,11 +104,11 @@ def encode_graceful(g: Graph, k: int) -> CnfFormula:
                         if cu == cw or (cu + cw) % 2:
                             continue
                         cv = (cu + cw) // 2
-                        clauses.append((-varmap[u, cu], -varmap[mid, cv],
-                                        -varmap[w, cw]))
+                        clauses.append((-(u * k + cu), -(mid * k + cv),
+                                        -(w * k + cw)))
                         counts["d3"] += 1
 
-    formula = CnfFormula(g.n * k, clauses, varmap, g, k, counts)
+    formula = CnfFormula(g.n * k, clauses, g, k, counts)
     if counts != predicted_clause_counts(g, k):
         raise AssertionError(
             f"clause-count mismatch: {counts} vs {predicted_clause_counts(g, k)}")
@@ -116,17 +122,18 @@ def decode_model(formula: CnfFormula, model: Sequence[int]) -> VertexColoring:
     truth = {}
     for lit in model:
         truth[abs(lit)] = lit > 0
+    g, k = formula.graph, formula.k
     chosen: dict[int, int] = {}
-    for (v, c), var in formula.varmap.items():
+    for var in range(1, g.n * k + 1):
         if truth.get(var, False):
+            v, c = divmod(var - 1, k)
             if v in chosen:
-                raise ValueError(f"vertex {v} assigned colors {chosen[v]} and {c}")
-            chosen[v] = c
-    g = formula.graph
+                raise ValueError(f"vertex {v} assigned colors {chosen[v]} and {c + 1}")
+            chosen[v] = c + 1
     missing = [v for v in range(g.n) if v not in chosen]
     if missing:
         raise ValueError(f"no color for vertices {missing}")
-    f = VertexColoring(tuple(chosen[v] for v in range(g.n)), formula.k)
+    f = VertexColoring(tuple(chosen[v] for v in range(g.n)), k)
     ok, viol = is_graceful_coloring(g, f)
     if not ok:
         raise ValueError(f"decoded coloring fails verification ({viol}): encoder defect")
@@ -188,73 +195,49 @@ class SatResult:
 
 def internal_sat(formula: CnfFormula,
                  budget: SearchBudget = SearchBudget()) -> SatResult:
-    """Complete DPLL with unit propagation and pure-literal elimination.
+    """Complete DPLL with unit propagation.
 
     The search keeps its own stack of (clauses, assignment, literal) branches
     to try, so its depth is not bounded by the interpreter's recursion limit.
     It branches on the smallest variable left, var before -var, and counts
     one node per branch tried."""
+
+    def propagate(clauses, assignment, lit):
+        """Set lit, then each first unit clause left; None on a conflict."""
+        while lit is not None:
+            out = []
+            for cl in clauses:
+                if lit in cl:
+                    continue
+                if -lit in cl:
+                    cl = tuple(x for x in cl if x != -lit)
+                    if not cl:
+                        return None
+                out.append(cl)
+            assignment[abs(lit)] = lit > 0
+            clauses = out
+            lit = next((cl[0] for cl in clauses if len(cl) == 1), None)
+        return clauses
+
     nodes = 0
-
-    def simplify(clauses, assignment, lit):
-        out = []
-        for cl in clauses:
-            if lit in cl:
-                continue
-            if -lit in cl:
-                cl = tuple(x for x in cl if x != -lit)
-                if not cl:
-                    return None
-            out.append(cl)
-        assignment[abs(lit)] = lit > 0
-        return out
-
-    def propagate(clauses, assignment):
-        while True:
-            unit = next((cl[0] for cl in clauses if len(cl) == 1), None)
-            if unit is not None:
-                clauses = simplify(clauses, assignment, unit)
-                if clauses is None:
-                    return None
-                continue
-            lits = {lit for cl in clauses for lit in cl}
-            pure = next((lit for lit in lits if -lit not in lits), None)
-            if pure is not None:
-                clauses = simplify(clauses, assignment, pure)
-                if clauses is None:
-                    return None
-                continue
-            return clauses
-
-    def dpll():
-        nonlocal nodes
-        assignment = {}
-        clauses = propagate(list(formula.clauses), assignment)
-        todo = []  # branches still to try, the next one last
-        while True:
-            if clauses is not None:
-                if not clauses:
-                    return assignment
-                var = min(abs(lit) for cl in clauses for lit in cl)
-                todo.append((clauses, assignment, -var))
-                todo.append((clauses, assignment, var))
-            if not todo:
-                return None
-            parent, parent_assignment, lit = todo.pop()
-            nodes += 1
-            if nodes > budget.max_nodes:
-                raise UndecidedError
-            assignment = dict(parent_assignment)
-            clauses = simplify(parent, assignment, lit)
-            if clauses is not None:
-                clauses = propagate(clauses, assignment)
-
-    try:
-        got = dpll()
-    except UndecidedError:
-        return SatResult("unknown", None, nodes)
-    if got is None:
-        return SatResult("unsat", None, nodes)
-    model = tuple(v if got.get(v, False) else -v
-                  for v in range(1, formula.num_vars + 1))
-    return SatResult("sat", model, nodes)
+    assignment = {}
+    clauses = propagate(formula.clauses, assignment,
+                        next((cl[0] for cl in formula.clauses if len(cl) == 1), None))
+    todo = []  # branches still to try, the next one last
+    while True:
+        if clauses is not None:
+            if not clauses:
+                model = tuple(v if assignment.get(v, False) else -v
+                              for v in range(1, formula.num_vars + 1))
+                return SatResult("sat", model, nodes)
+            var = min(abs(lit) for cl in clauses for lit in cl)
+            todo.append((clauses, assignment, -var))
+            todo.append((clauses, assignment, var))
+        if not todo:
+            return SatResult("unsat", None, nodes)
+        parent, parent_assignment, lit = todo.pop()
+        nodes += 1
+        if nodes > budget.max_nodes:
+            return SatResult("unknown", None, nodes)
+        assignment = dict(parent_assignment)
+        clauses = propagate(parent, assignment, lit)

@@ -384,13 +384,17 @@ def cubic_graph(n: int, seed: int, max_retries: int = 1000) -> Graph:
 def generate(kind: str, *args) -> Graph:
     """Named generator dispatch used by the CLI: e.g. generate('cycle', 5)."""
     table = {
-        "complete": lambda n: complete_graph(int(n)),
-        "path": lambda n: path_graph(int(n)),
-        "cycle": lambda n: cycle_graph(int(n)),
-        "star": lambda n: star_graph(int(n)),
-        "gnp": lambda n, p, seed: gnp_graph(int(n), float(p), int(seed)),
-        "cubic": lambda n, seed: cubic_graph(int(n), int(seed)),
+        "complete": (complete_graph, {"n": int}),
+        "path": (path_graph, {"n": int}),
+        "cycle": (cycle_graph, {"n": int}),
+        "star": (star_graph, {"n": int}),
+        "gnp": (gnp_graph, {"n": int, "p": float, "seed": int}),
+        "cubic": (cubic_graph, {"n": int, "seed": int}),
     }
     if kind not in table:
         raise ValueError(f"unknown graph kind {kind!r}")
-    return table[kind](*args)
+    make, params = table[kind]
+    if len(args) != len(params):
+        raise ValueError(f"graph kind {kind!r} takes {len(params)} parameters "
+                         f"({' '.join(params)}), got {len(args)}")
+    return make(*(convert(a) for convert, a in zip(params.values(), args)))

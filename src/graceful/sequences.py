@@ -4,7 +4,11 @@ a(n) is the least k such that {1..k} contains an n-element subset with no
 three distinct elements in arithmetic progression (OEIS A065825).
 Witnesses are explicit and re-checked.  One depth-first search over
 AP-free sets containing 1 answers both a(n) and the list of its optimal
-witnesses.
+witnesses.  It adds elements in increasing order and carries a bitmask of
+banned values: adding c bans 2c - b for every chosen b, the one value that
+would complete a progression b, c, 2c - b.  Every progression that a later
+candidate could complete has both its smaller elements chosen, so a
+candidate is tested with one bit test.
 """
 
 from __future__ import annotations
@@ -58,36 +62,28 @@ class _Cache:
 _cache = _Cache()
 
 
-def _extends_ap_free(chosen: list[int], c: int) -> bool:
-    """Can c (> all of chosen) be appended keeping the set AP-free?"""
-    in_set = set(chosen)
-    for b in chosen:
-        # c completes an AP a,b,c  (a = 2b - c) or b,mid,c
-        if 2 * b - c in in_set:
-            return False
-        if (b + c) % 2 == 0 and (b + c) // 2 in in_set:
-            return False
-    return True
-
-
 def _ap_free_sets(n: int, k: int) -> Iterator[tuple[int, ...]]:
     """Every AP-free n-subset of {1..k} containing 1, in lexicographic
     order.  A minimum-span set shifted down to start at 1 stays AP-free,
     so every optimal witness contains both 1 and a(n)."""
     chosen = [1]
 
-    def dfs(lo: int) -> Iterator[tuple[int, ...]]:
+    def dfs(lo: int, banned: int) -> Iterator[tuple[int, ...]]:
         if len(chosen) == n:
             yield tuple(chosen)
             return
         # span pruning: enough room must remain for the missing elements
         for c in range(lo, k + 2 - (n - len(chosen))):
-            if _extends_ap_free(chosen, c):
-                chosen.append(c)
-                yield from dfs(c + 1)
-                chosen.pop()
+            if banned >> c & 1:
+                continue
+            ban_c = banned
+            for b in chosen:
+                ban_c |= 1 << (2 * c - b)  # b, c, 2c - b
+            chosen.append(c)
+            yield from dfs(c + 1, ban_c)
+            chosen.pop()
 
-    return dfs(2)
+    return dfs(2, 0)
 
 
 def a_of_n(n: int) -> tuple[int, ApFreeSet]:

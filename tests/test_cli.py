@@ -1,8 +1,11 @@
 import json
+import os
+import subprocess
 import sys
 
 import pytest
 
+import graceful
 from graceful.cli import main
 
 
@@ -53,6 +56,15 @@ def test_verify(capsys, tmp_path):
     code, payload = run(capsys, "verify", "--coloring", str(c), str(g))
     assert payload["answer"] == "invalid"
     assert payload["violation"]["kind"] == "label"
+
+
+def test_verify_empty_graph(capsys, tmp_path):
+    g = tmp_path / "g.txt"
+    g.write_text("0 0\n")
+    c = tmp_path / "c.json"
+    c.write_text("[]")
+    code, payload = run(capsys, "verify", "--coloring", str(c), str(g))
+    assert code == 0 and payload["answer"] == "valid"
 
 
 def test_bounds(capsys, tmp_path):
@@ -148,6 +160,21 @@ def test_byte_identical_output(capsys, tmp_path):
     first = capsys.readouterr().out
     main(["chig", str(p)])
     assert capsys.readouterr().out == first
+
+
+@pytest.mark.parametrize("params, names", [
+    (["gnp", "5"], "n p seed"), (["star"], "n"),
+    (["cubic", "8"], "n seed"), (["cubic", "8", "1", "2"], "n seed"),
+])
+def test_gen_wrong_parameter_count(params, names):
+    src = os.path.dirname(os.path.dirname(graceful.__file__))
+    proc = subprocess.run([sys.executable, "-m", "graceful.cli", "gen", *params],
+                          capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src})
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+    assert f"({names})" in proc.stderr
 
 
 def test_gen_long_form_graph6(capsys):

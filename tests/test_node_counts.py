@@ -1,13 +1,15 @@
 """Pinned search-node counts.  Node counts are machine independent and follow
 from the branching order alone, so any change to the order in which the
-search picks vertices and colors changes some number here.  A change that
-means to alter the order must say so and update the pins."""
+native search picks vertices and colors, or the DPLL picks literals,
+changes some number here.  A change that means to alter the order must say
+so and update the pins."""
 
 import pytest
 
-from graceful import (SearchBudget, cubic_graph, distance_two_chromatic_number,
-                      graceful_chromatic_number, graceful_k_colorable,
-                      hypercube_graph, petersen_graph)
+from graceful import (SearchBudget, complete_graph, cubic_graph,
+                      distance_two_chromatic_number, graceful_chromatic_number,
+                      graceful_k_colorable, hypercube_graph, petersen_graph)
+from graceful.cnf import encode_graceful, internal_sat
 from graceful.reductions import (clause_gadget, nae_reduce,
                                  smallest_e4_instance, variable_gadget,
                                  verify_gadget)
@@ -40,6 +42,20 @@ def test_reduced_e4_6_full_decision(e4_6):
 @pytest.mark.parametrize("n, nodes", [(12, 32), (14, 32), (16, 68), (18, 44)])
 def test_cubic_at_k5(n, nodes):
     assert _decided(cubic_graph(n, 0), 5, 10 ** 7) == ("no", nodes)
+
+
+@pytest.mark.parametrize("g, k, expected", [
+    (cubic_graph(12, 0), 5, ("unsat", 534)),
+    (cubic_graph(14, 0), 5, ("unsat", 450)),
+    (cubic_graph(16, 0), 5, ("unsat", 2218)),
+    (cubic_graph(18, 0), 5, ("unsat", 890)),
+    (complete_graph(5), 8, ("unsat", 1198)),
+    (complete_graph(5), 9, ("sat", 6)),
+])
+def test_dpll_nodes(g, k, expected):
+    # the DPLL branches on the smallest variable left, var before -var
+    res = internal_sat(encode_graceful(g, k))
+    assert (res.status, res.nodes) == expected
 
 
 @pytest.mark.parametrize("g, chi2, chig", [

@@ -170,6 +170,24 @@ def test_verify_gadget_reports_counterexample():
     assert rep.rows[0].counterexample is not None
 
 
+def test_verify_gadget_has_no_size_cap():
+    # two disjoint variable gadgets: 36 vertices, 8 ports, 44 with the stubs;
+    # the node budget, not a vertex count, bounds the enumeration
+    one = variable_gadget()
+    n = one.graph.n
+    edges = list(one.graph.edges()) + [(u + n, v + n) for u, v in one.graph.edges()]
+    ports = {f"{copy}{name}": v + off
+             for copy, off in (("a_", 0), ("b_", n))
+             for name, v in one.ports.items()}
+    spec = GadgetSpec(Graph.from_edges(2 * n, edges), ports, (
+        BehaviorRow("each copy's ports equal", "forall",
+                    lambda pc, sc: all(
+                        len({c for name, c in pc.items() if name.startswith(copy)}) == 1
+                        for copy in ("a_", "b_"))),))
+    rep = verify_gadget(spec)
+    assert rep.certified and rep.colorings_enumerated == 256
+
+
 # ---------------------------------------------------------------------------
 # Full reduction
 

@@ -95,3 +95,23 @@ def test_reflection_closure():
 def test_apfreeset_rejects_progressions():
     with pytest.raises(ValueError):
         ApFreeSet((1, 2, 3))
+
+
+# a(8..13) with the lexicographically first witness and the number of optimal
+# witnesses, frozen from the search before it carried a banned-value mask
+LARGER = {
+    8: (14, (1, 2, 4, 5, 10, 11, 13, 14), 1),
+    9: (20, (1, 2, 6, 7, 9, 14, 15, 18, 20), 2),
+    10: (24, (1, 2, 5, 7, 11, 16, 18, 19, 23, 24), 2),
+    11: (26, (1, 2, 5, 7, 11, 16, 18, 19, 23, 24, 26), 2),
+    12: (30, (1, 3, 4, 8, 9, 11, 20, 22, 23, 27, 28, 30), 1),
+    13: (32, (1, 2, 4, 8, 9, 11, 19, 22, 23, 26, 28, 31, 32), 2),
+}
+
+
+@pytest.mark.parametrize("n", sorted(LARGER))
+def test_a_of_n_larger_values_and_witnesses(n):
+    value, witness, count = LARGER[n]
+    assert a_of_n(n) == (value, ApFreeSet(witness))
+    wits = all_optimal_witnesses(n)
+    assert len(wits) == count and wits[0].elements == witness
