@@ -183,7 +183,17 @@ def cmd_solve(args) -> int:
         proc = subprocess.run(args.external, shell=True,
                               input=cnf.write_dimacs(formula),
                               capture_output=True, text=True)
-        status, model = cnf.parse_solver_output(proc.stdout)
+        # SAT-competition exit codes: 10 with SATISFIABLE, 20 with
+        # UNSATISFIABLE; any other nonzero code is a solver failure
+        code = proc.returncode
+        try:
+            status, model = cnf.parse_solver_output(proc.stdout)
+        except ValueError:
+            if code == 0:
+                raise
+            status = None
+        if code != 0 and (code, status) not in ((10, "sat"), (20, "unsat")):
+            raise solve.UndecidedError(f"external solver exited with code {code}")
         nodes = 0
     else:
         res = cnf.internal_sat(formula, _budget(args))

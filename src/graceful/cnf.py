@@ -13,13 +13,16 @@ where paths = sum_v C(d(v),2) and T(k) counts ordered same-parity color
 pairs (cu, cw), cu != cw; the middle color is then forced to (cu+cw)/2.
 The cu == cw half of the path constraint is exactly family d2.
 
-The DPLL below propagates unit clauses and has no pure-literal rule, since
-no literal of these formulas is ever pure.  After unit propagation an
-unassigned x_{v,c} still sits in v's family-a clause: a true x_{v,c'} would
-have set it false through family b, and were every other color of v false
-the family-a clause would be a unit.  So some other x_{v,c'} is unassigned,
-the family-b clause (-x_{v,c} v -x_{v,c'}) is still open, and x_{v,c}
-occurs with both signs.
+The DPLL below keeps one assignment with an undo trail, propagates unit
+clauses through two watched literals per clause, and branches on the
+smallest unassigned variable of a clause not yet satisfied; `internal_sat`
+says why the order of propagation cannot change its search tree.  It has
+no pure-literal rule, since no literal of these formulas is ever pure.
+After unit propagation an unassigned x_{v,c} still sits in v's family-a
+clause: a true x_{v,c'} would have set it false through family b, and were
+every other color of v false the family-a clause would be a unit.  So some
+other x_{v,c'} is unassigned, the family-b clause (-x_{v,c} v -x_{v,c'}) is
+still open, and x_{v,c} occurs with both signs.
 """
 
 from __future__ import annotations
@@ -195,49 +198,114 @@ class SatResult:
 
 def internal_sat(formula: CnfFormula,
                  budget: SearchBudget = SearchBudget()) -> SatResult:
-    """Complete DPLL with unit propagation.
+    """Complete DPLL with unit propagation over two watched literals.
 
-    The search keeps its own stack of (clauses, assignment, literal) branches
-    to try, so its depth is not bounded by the interpreter's recursion limit.
-    It branches on the smallest variable left, var before -var, and counts
-    one node per branch tried."""
+    One assignment is kept; a branch is undone by popping the trail of set
+    literals back to where its node began.  The first two positions of a
+    clause of length >= 2 are its watches, and a clause is visited only when
+    a watched literal turns false: the watch moves to a literal not yet
+    false, or, if none is left, the clause is a unit or a conflict.  Clauses
+    of length 1 seed the propagation at the root; an empty clause makes the
+    formula unsat at once.  Watches sit on positions, so a literal repeated
+    in a clause counts once per position.
 
-    def propagate(clauses, assignment, lit):
-        """Set lit, then each first unit clause left; None on a conflict."""
-        while lit is not None:
-            out = []
-            for cl in clauses:
-                if lit in cl:
+    The search branches on the smallest unassigned variable of a clause not
+    yet satisfied, var before -var, and counts one node per branch tried.
+    A node's candidates are a subset of its parent's, so the scan for that
+    variable starts past the parent's.  Unit propagation reaches the same
+    fixpoint, or a conflict, in any order (a literal one order derives is
+    true at the fixpoint of any other, which leaves no unit), so the order
+    of the watch lists cannot change the search tree.  The search keeps its
+    own stack of branches, so its depth is not bounded by the interpreter's
+    recursion limit."""
+    n = formula.num_vars
+    if any(not cl for cl in formula.clauses):
+        return SatResult("unsat", None, 0)
+    # value[lit] is 1 if lit is true, -1 if false, 0 if open; with the list
+    # 2n + 1 long, value[-v] sits at index 2n + 1 - v
+    value = [0] * (2 * n + 1)
+    watches: list[list[list[int]]] = [[] for _ in range(2 * n + 1)]
+    occurs: list[list[list[int]]] = [[] for _ in range(n + 1)]
+    trail: list[int] = []
+
+    def assign(lit):
+        value[lit] = 1
+        value[-lit] = -1
+        trail.append(lit)
+
+    def propagate(head):
+        """Visit the watchers of each literal falsified from trail[head] on;
+        False on a conflict."""
+        while head < len(trail):
+            false = -trail[head]
+            head += 1
+            watching = watches[false]
+            watches[false] = kept = []
+            for i, c in enumerate(watching):
+                if c[0] == false:
+                    c[0], c[1] = c[1], false
+                other = c[0]
+                if value[other] == 1:
+                    kept.append(c)
                     continue
-                if -lit in cl:
-                    cl = tuple(x for x in cl if x != -lit)
-                    if not cl:
-                        return None
-                out.append(cl)
-            assignment[abs(lit)] = lit > 0
-            clauses = out
-            lit = next((cl[0] for cl in clauses if len(cl) == 1), None)
-        return clauses
+                for j in range(2, len(c)):
+                    lit = c[j]
+                    if value[lit] != -1:
+                        c[1], c[j] = lit, false
+                        watches[lit].append(c)
+                        break
+                else:
+                    kept.append(c)
+                    if value[other] == -1:
+                        kept.extend(watching[i + 1:])
+                        return False
+                    value[other] = 1  # assign(other), inlined on the hot path
+                    value[-other] = -1
+                    trail.append(other)
+        return True
+
+    def branch_var(start):
+        """Smallest open variable >= start in a clause with no true literal;
+        0 when every clause is satisfied."""
+        for var in range(start, n + 1):
+            if not value[var] and any(1 not in [value[lit] for lit in c]
+                                      for c in occurs[var]):
+                return var
+        return 0
+
+    ok = True
+    for cl in formula.clauses:
+        c = list(cl)
+        for var in {abs(lit) for lit in c}:
+            occurs[var].append(c)
+        if len(c) > 1:
+            watches[c[0]].append(c)
+            watches[c[1]].append(c)
+        elif value[c[0]] == -1:
+            ok = False
+        elif not value[c[0]]:
+            assign(c[0])
+    ok = ok and propagate(0)
 
     nodes = 0
-    assignment = {}
-    clauses = propagate(formula.clauses, assignment,
-                        next((cl[0] for cl in formula.clauses if len(cl) == 1), None))
-    todo = []  # branches still to try, the next one last
+    start = 1
+    todo = []  # (literal, trail length to undo to, first variable to scan)
     while True:
-        if clauses is not None:
-            if not clauses:
-                model = tuple(v if assignment.get(v, False) else -v
-                              for v in range(1, formula.num_vars + 1))
+        if ok:
+            var = branch_var(start)
+            if not var:
+                model = tuple(v if value[v] == 1 else -v for v in range(1, n + 1))
                 return SatResult("sat", model, nodes)
-            var = min(abs(lit) for cl in clauses for lit in cl)
-            todo.append((clauses, assignment, -var))
-            todo.append((clauses, assignment, var))
+            todo.append((-var, len(trail), var + 1))
+            todo.append((var, len(trail), var + 1))
         if not todo:
             return SatResult("unsat", None, nodes)
-        parent, parent_assignment, lit = todo.pop()
+        lit, mark, start = todo.pop()
         nodes += 1
         if nodes > budget.max_nodes:
             return SatResult("unknown", None, nodes)
-        assignment = dict(parent_assignment)
-        clauses = propagate(parent, assignment, lit)
+        for x in trail[mark:]:
+            value[x] = value[-x] = 0
+        del trail[mark:]
+        assign(lit)
+        ok = propagate(mark)

@@ -208,3 +208,26 @@ def test_solve_external_unknown_verdict(capsys, tmp_path):
     solver = f"{sys.executable} -c \"print('s UNKNOWN')\""
     code, payload = run(capsys, "solve", "--k", "5", "--external", solver, str(g))
     assert code == 2 and payload["answer"] == "unknown"
+
+
+@pytest.mark.parametrize("solver, code", [
+    ("exit 3", 3),
+    ("graceful-no-such-solver", 127),
+    ("echo 's UNSATISFIABLE'; exit 1", 1),
+    ("echo 's SATISFIABLE'; exit 20", 20),
+])
+def test_solve_external_failed_solver_is_undecided(capsys, tmp_path, solver, code):
+    # only exit 0, 10 with SATISFIABLE or 20 with UNSATISFIABLE is trusted
+    g = tmp_path / "k3.txt"
+    g.write_text("3 3\n0 1\n1 2\n0 2\n")
+    assert main(["solve", "--k", "5", "--external", solver, str(g)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and f"code {code}" in captured.err
+
+
+def test_solve_external_exit_code_verdicts(capsys, tmp_path):
+    g = tmp_path / "k3.txt"
+    g.write_text("3 3\n0 1\n1 2\n0 2\n")
+    code, payload = run(capsys, "solve", "--k", "5", "--external",
+                        "echo 's UNSATISFIABLE'; exit 20", str(g))
+    assert code == 0 and payload["answer"] == "no"

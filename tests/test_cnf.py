@@ -2,8 +2,8 @@ import pytest
 
 from graceful import (SearchBudget, complete_graph, gnp_graph,
                       graceful_k_colorable, is_graceful_coloring)
-from graceful.cnf import (CnfFormula, decode_model, encode_graceful,
-                          internal_sat, parse_solver_output,
+from graceful.cnf import (CnfFormula, SatResult, decode_model,
+                          encode_graceful, internal_sat, parse_solver_output,
                           predicted_clause_counts, write_dimacs)
 from graceful.graph import SplitMix64
 
@@ -98,6 +98,34 @@ def test_internal_sat_edges():
     assert internal_sat(CnfFormula(1, [(1,), (-1,)])).status == "unsat"
     res = internal_sat(CnfFormula(2, []))
     assert res.status == "sat" and len(res.model) == 2
+    assert internal_sat(CnfFormula(2, [(), (1, 2)])) == SatResult("unsat", None, 0)
+
+
+def test_internal_sat_branches_on_open_clauses():
+    # variable 2 is unassigned but only in a satisfied clause, so the search
+    # branches on 1 and then 3; branching on 2 as well would take 3 nodes
+    res = internal_sat(CnfFormula(4, [(1, 2), (3, 4), (-3, -4)]))
+    assert (res.status, res.model, res.nodes) == ("sat", (1, -2, 3, -4), 2)
+
+
+def test_internal_sat_matches_truth_table():
+    rng = SplitMix64(41)
+    for _ in range(300):
+        nv = 1 + rng.randint(10)
+        clauses = []
+        for _ in range(rng.randint(4 * nv + 1)):
+            cl = []
+            for _ in range(1 + rng.randint(4)):
+                lit = (1 + rng.randint(nv)) * (1 if rng.randint(2) else -1)
+                if -lit not in cl:
+                    cl.append(lit)
+            clauses.append(tuple(cl))
+        res = internal_sat(CnfFormula(nv, clauses))
+        sat = any(all(any((bits >> (abs(lit) - 1) & 1) == (lit > 0) for lit in cl)
+                      for cl in clauses) for bits in range(1 << nv))
+        assert res.status == ("sat" if sat else "unsat"), (nv, clauses)
+        if sat:
+            assert all(any(lit in res.model for lit in cl) for cl in clauses)
 
 
 def test_internal_sat_needs_no_recursion():

@@ -9,7 +9,7 @@ import pytest
 from graceful import (SearchBudget, complete_graph, cubic_graph,
                       distance_two_chromatic_number, graceful_chromatic_number,
                       graceful_k_colorable, hypercube_graph, petersen_graph)
-from graceful.cnf import encode_graceful, internal_sat
+from graceful.cnf import decode_model, encode_graceful, internal_sat
 from graceful.reductions import (clause_gadget, nae_reduce,
                                  smallest_e4_instance, variable_gadget,
                                  verify_gadget)
@@ -45,17 +45,25 @@ def test_cubic_at_k5(n, nodes):
 
 
 @pytest.mark.parametrize("g, k, expected", [
-    (cubic_graph(12, 0), 5, ("unsat", 534)),
-    (cubic_graph(14, 0), 5, ("unsat", 450)),
-    (cubic_graph(16, 0), 5, ("unsat", 2218)),
-    (cubic_graph(18, 0), 5, ("unsat", 890)),
-    (complete_graph(5), 8, ("unsat", 1198)),
-    (complete_graph(5), 9, ("sat", 6)),
+    (cubic_graph(12, 0), 5, ("unsat", 534, None)),
+    (cubic_graph(14, 0), 5, ("unsat", 450, None)),
+    (cubic_graph(16, 0), 5, ("unsat", 2218, None)),
+    (cubic_graph(18, 0), 5, ("unsat", 890, None)),
+    (complete_graph(5), 8, ("unsat", 1198, None)),
+    (complete_graph(5), 9, ("sat", 6, (1, 2, 4, 8, 9))),
+    (cubic_graph(12, 0), 6, ("sat", 32, (1, 2, 1, 4, 6, 6, 3, 3, 4, 5, 2, 5))),
+    (cubic_graph(14, 0), 6, ("sat", 254, (1, 2, 5, 6, 1, 3, 5, 4, 4, 2, 6, 6, 5, 3))),
+    (cubic_graph(16, 0), 6, ("sat", 188, (1, 1, 2, 5, 2, 6, 5, 6, 4, 2, 3, 3, 5, 4, 6, 1))),
+    (complete_graph(6), 10, ("unsat", 6910, None)),
+    (complete_graph(6), 11, ("sat", 5, (1, 2, 4, 5, 10, 11))),
 ])
 def test_dpll_nodes(g, k, expected):
-    # the DPLL branches on the smallest variable left, var before -var
-    res = internal_sat(encode_graceful(g, k))
-    assert (res.status, res.nodes) == expected
+    # the DPLL branches on the smallest unassigned variable of a clause not
+    # yet satisfied, var before -var; the model pins the leaf it stops at
+    formula = encode_graceful(g, k)
+    res = internal_sat(formula)
+    colors = decode_model(formula, res.model).colors if res.status == "sat" else None
+    assert (res.status, res.nodes, colors) == expected
 
 
 @pytest.mark.parametrize("g, chi2, chig", [
