@@ -184,13 +184,15 @@ def cmd_solve(args) -> int:
                               input=cnf.write_dimacs(formula),
                               capture_output=True, text=True)
         # SAT-competition exit codes: 10 with SATISFIABLE, 20 with
-        # UNSATISFIABLE; any other nonzero code is a solver failure
+        # UNSATISFIABLE; any other nonzero code is a solver failure, and so
+        # is output without a verdict or a model that is not a coloring
         code = proc.returncode
         try:
             status, model = cnf.parse_solver_output(proc.stdout)
-        except ValueError:
+        except ValueError as exc:
             if code == 0:
-                raise
+                raise solve.UndecidedError(
+                    f"external solver exited with code 0 but gave no verdict: {exc}") from None
             status = None
         if code != 0 and (code, status) not in ((10, "sat"), (20, "unsat")):
             raise solve.UndecidedError(f"external solver exited with code {code}")
@@ -199,7 +201,13 @@ def cmd_solve(args) -> int:
         res = cnf.internal_sat(formula, _budget(args))
         status, model, nodes = res.status, res.model, res.nodes
     if status == "sat":
-        coloring = cnf.decode_model(formula, model)
+        try:
+            coloring = cnf.decode_model(formula, model)
+        except ValueError as exc:
+            if not args.external:
+                raise
+            raise solve.UndecidedError(f"external solver exited with code {code} but its "
+                                       f"model is not a coloring: {exc}") from None
         emit({"answer": "yes", "k": args.k, "witness": list(coloring.colors),
               "nodes_searched": nodes})
         return EXIT_OK

@@ -23,3 +23,16 @@ def e4_6():
         ((0, 3, 5), (0, 4, 5), (1, 2, 4), (2, 3, 5), (1, 2, 4), (0, 1, 3), (0, 4, 5), (1, 2, 3)),
         ((0, 4, 5), (0, 1, 5), (0, 1, 2), (1, 2, 4), (2, 3, 4), (2, 3, 5), (1, 3, 5), (0, 3, 4)),
     ))
+
+
+@pytest.fixture
+def e4_9_unsat():
+    """The NAE-unsatisfiable Positive NAE-3SAT-E4 formulas on 9 variables
+    dealt by the pairing model with seeds 1115 and 196, the paper's hard
+    case with answer 'no'."""
+    return tuple(NaeFormula.make(9, clauses) for clauses in (
+        ((0, 5, 7), (3, 4, 5), (1, 7, 8), (0, 1, 6), (1, 4, 7), (1, 2, 8),
+         (3, 4, 5), (0, 4, 8), (2, 5, 6), (2, 6, 7), (3, 6, 8), (0, 2, 3)),
+        ((4, 7, 8), (1, 5, 6), (0, 4, 6), (2, 5, 7), (3, 5, 8), (3, 6, 7),
+         (0, 1, 4), (2, 3, 7), (1, 2, 4), (2, 6, 8), (0, 3, 5), (0, 1, 8)),
+    ))

@@ -191,7 +191,7 @@ def test_reduce_nae_graph6_feeds_decide(capsys, tmp_path):
     g.write_text(payload["graph6"] + "\n")
     code, payload = run(capsys, "decide", "--k", "4", "--budget", "3000", str(g))
     assert code == 0 and payload["answer"] == "yes"
-    assert payload["nodes_searched"] == 351
+    assert payload["nodes_searched"] == 244
 
 
 def test_check_nae_nine_variables_is_undecided(capsys, tmp_path):
@@ -215,14 +215,18 @@ def test_solve_external_unknown_verdict(capsys, tmp_path):
     ("graceful-no-such-solver", 127),
     ("echo 's UNSATISFIABLE'; exit 1", 1),
     ("echo 's SATISFIABLE'; exit 20", 20),
+    ("true", 0),
+    ("echo 's SATISFIABLE'; exit 10", 10),
 ])
 def test_solve_external_failed_solver_is_undecided(capsys, tmp_path, solver, code):
-    # only exit 0, 10 with SATISFIABLE or 20 with UNSATISFIABLE is trusted
+    # only exit 0, 10 with SATISFIABLE or 20 with UNSATISFIABLE is trusted,
+    # and only with a verdict and, for SATISFIABLE, a model that is a coloring
     g = tmp_path / "k3.txt"
     g.write_text("3 3\n0 1\n1 2\n0 2\n")
     assert main(["solve", "--k", "5", "--external", solver, str(g)]) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and f"code {code}" in captured.err
+    assert captured.err.startswith("undecided: external solver")
 
 
 def test_solve_external_exit_code_verdicts(capsys, tmp_path):

@@ -2,7 +2,12 @@
 from the branching order alone, so any change to the order in which the
 native search picks vertices and colors, or the DPLL picks literals,
 changes some number here.  A change that means to alter the order must say
-so and update the pins."""
+so and update the pins.
+
+The native search branches on the vertex with the fewest allowed colors,
+then the most wipeouts so far (dom/wdeg), then the highest degree, then
+the lowest index; the reduced NAE-3SAT-E4 pins are the ones that rule
+moves most."""
 
 import pytest
 
@@ -10,7 +15,7 @@ from graceful import (SearchBudget, complete_graph, cubic_graph,
                       distance_two_chromatic_number, graceful_chromatic_number,
                       graceful_k_colorable, hypercube_graph, petersen_graph)
 from graceful.cnf import decode_model, encode_graceful, internal_sat
-from graceful.reductions import (clause_gadget, nae_reduce,
+from graceful.reductions import (check_nae_reduction, clause_gadget, nae_reduce,
                                  smallest_e4_instance, variable_gadget,
                                  verify_gadget)
 
@@ -22,24 +27,30 @@ def _decided(g, k, budget):
 
 def test_reduced_e4_3_at_k4():
     g = nae_reduce(smallest_e4_instance()).graph
-    assert _decided(g, 4, 3000) == ("yes", 351)
+    assert _decided(g, 4, 3000) == ("yes", 244)
 
 
 @pytest.mark.parametrize("i", range(3))
 def test_reduced_e4_6(e4_6, i):
     g = nae_reduce(e4_6[i]).graph
-    # at k = 4 the budget runs out first, so this pins the budget accounting;
-    # the k = 5 decisions depend on the branching order
-    assert _decided(g, 4, 1500) == ("unknown", 1501)
+    assert _decided(g, 4, 1500) == ("yes", (980, 1035, 786)[i])
     assert _decided(g, 5, 1500) == ("yes", (256, 254, 255)[i])
 
 
 def test_reduced_e4_6_full_decision(e4_6):
     g = nae_reduce(e4_6[0]).graph
-    assert _decided(g, 4, 50000) == ("yes", 44247)
+    # the budget sizes the weight field of the selection key, not the order
+    assert _decided(g, 4, 50000) == ("yes", 980)
 
 
-@pytest.mark.parametrize("n, nodes", [(12, 32), (14, 32), (16, 68), (18, 44)])
+def test_reduced_e4_9_unsat_at_k4(e4_9_unsat):
+    # NAE-unsatisfiable, so 'no' needs the whole tree: the budget must hold it
+    results = [check_nae_reduction(phi, SearchBudget(100_000)) for phi in e4_9_unsat]
+    assert [(r.status, r.details["graceful_4"], r.details["nodes"]) for r in results] == [
+        ("consistent", "no", 24544), ("consistent", "no", 17185)]
+
+
+@pytest.mark.parametrize("n, nodes", [(12, 32), (14, 32), (16, 68), (18, 38)])
 def test_cubic_at_k5(n, nodes):
     assert _decided(cubic_graph(n, 0), 5, 10 ** 7) == ("no", nodes)
 

@@ -11,7 +11,8 @@ from graceful import (Graph, SearchBudget, VertexColoring, bounds,
                       gnp_graph, graceful_chromatic_number, graceful_k_colorable,
                       graceful_k_colorable_bruteforce, hypercube_graph,
                       is_distance_two_coloring, is_graceful_coloring,
-                      lift_distance_two, path_graph, star_graph, a_of_n)
+                      lift_distance_two, path_graph, petersen_graph,
+                      star_graph, a_of_n)
 from graceful.graph import SplitMix64
 
 
@@ -65,6 +66,18 @@ def test_budget_exhaustion_is_unknown():
     dec = graceful_k_colorable(complete_graph(6), 10, SearchBudget(3))
     assert dec.status == "unknown"
     assert dec.coloring is None
+    assert dec.nodes == 3
+
+
+@pytest.mark.parametrize("budget", [1, 2, 3, 5, 8, 13, 21, 34, 55, 89])
+def test_chromatic_numbers_stay_within_budget(budget):
+    # the k loop hands each decision only what is left of the budget, and an
+    # 'unknown' spends all of it
+    for g in (petersen_graph(), hypercube_graph(3), complete_graph(5)):
+        for number in (distance_two_chromatic_number, graceful_chromatic_number):
+            res = number(g, SearchBudget(budget))
+            assert res.nodes <= budget
+            assert res.status == "ok" or res.nodes == budget
 
 
 def test_solver_matches_bruteforce():
