@@ -153,10 +153,7 @@ def cmd_check(args) -> int:
     else:
         g = read_graph(args.input)
         res = reductions.check_construction1_guarantee(g, args.k, _budget(args))
-    payload = {"answer": res.status}
-    payload.update({k: v for k, v in res.details.items()
-                    if isinstance(v, (int, str, bool, type(None)))})
-    emit(payload)
+    emit({"answer": res.status, **res.details})
     if res.status == "unknown":
         return EXIT_UNKNOWN
     return EXIT_OK if res.status == "consistent" else EXIT_INPUT

@@ -15,14 +15,17 @@ The cu == cw half of the path constraint is exactly family d2.
 
 The DPLL below keeps one assignment with an undo trail, propagates unit
 clauses through two watched literals per clause, and branches on the
-smallest unassigned variable of a clause not yet satisfied; `internal_sat`
-says why the order of propagation cannot change its search tree.  It has
-no pure-literal rule, since no literal of these formulas is ever pure.
-After unit propagation an unassigned x_{v,c} still sits in v's family-a
-clause: a true x_{v,c'} would have set it false through family b, and were
-every other color of v false the family-a clause would be a unit.  So some
-other x_{v,c'} is unassigned, the family-b clause (-x_{v,c} v -x_{v,c'}) is
-still open, and x_{v,c} occurs with both signs.
+smallest unassigned variable until none is left; it keeps no index of the
+clauses a variable occurs in.  On these formulas that index would change
+nothing.  After unit propagation without a conflict an unassigned x_{v,c}
+still sits in v's family-a clause, and that clause is open: a true x_{v,c'}
+would have set x_{v,c} false through family b, and were every other color
+of v false the family-a clause would be a unit.  So the smallest unassigned
+variable is the smallest unassigned variable of an open clause, and some
+clause is open exactly while some variable is unassigned.  The same
+argument leaves another x_{v,c'} unassigned, so the family-b clause
+(-x_{v,c} v -x_{v,c'}) is open too and x_{v,c} occurs with both signs: no
+literal is ever pure, and the DPLL has no pure-literal rule.
 """
 
 from __future__ import annotations
@@ -209,15 +212,20 @@ def internal_sat(formula: CnfFormula,
     formula unsat at once.  Watches sit on positions, so a literal repeated
     in a clause counts once per position.
 
-    The search branches on the smallest unassigned variable of a clause not
-    yet satisfied, var before -var, and counts one node per branch tried.
-    A node's candidates are a subset of its parent's, so the scan for that
-    variable starts past the parent's.  Unit propagation reaches the same
-    fixpoint, or a conflict, in any order (a literal one order derives is
-    true at the fixpoint of any other, which leaves no unit), so the order
-    of the watch lists cannot change the search tree.  The search keeps its
-    own stack of branches, so its depth is not bounded by the interpreter's
-    recursion limit."""
+    The search branches on the smallest unassigned variable, var before
+    -var, and returns 'sat' once every variable is assigned; on an encoded
+    formula that variable is the smallest one of an open clause (family a,
+    see the module docstring).  A generic CNF is still decided completely,
+    though a variable whose clauses are all satisfied costs nodes.  A node's
+    unassigned variables are a subset of its parent's, so the scan starts
+    past the parent's branch variable.  One node is counted per branch
+    tried, and the search returns 'unknown' with budget.max_nodes nodes
+    rather than try one more.  Unit propagation reaches the same fixpoint,
+    or a conflict, in any order (a literal one order derives is true at the
+    fixpoint of any other, which leaves no unit), so the order of the watch
+    lists cannot change the search tree.  The search keeps its own stack of
+    branches, so its depth is not bounded by the interpreter's recursion
+    limit."""
     n = formula.num_vars
     if any(not cl for cl in formula.clauses):
         return SatResult("unsat", None, 0)
@@ -225,7 +233,6 @@ def internal_sat(formula: CnfFormula,
     # 2n + 1 long, value[-v] sits at index 2n + 1 - v
     value = [0] * (2 * n + 1)
     watches: list[list[list[int]]] = [[] for _ in range(2 * n + 1)]
-    occurs: list[list[list[int]]] = [[] for _ in range(n + 1)]
     trail: list[int] = []
 
     def assign(lit):
@@ -264,20 +271,9 @@ def internal_sat(formula: CnfFormula,
                     trail.append(other)
         return True
 
-    def branch_var(start):
-        """Smallest open variable >= start in a clause with no true literal;
-        0 when every clause is satisfied."""
-        for var in range(start, n + 1):
-            if not value[var] and any(1 not in [value[lit] for lit in c]
-                                      for c in occurs[var]):
-                return var
-        return 0
-
     ok = True
     for cl in formula.clauses:
         c = list(cl)
-        for var in {abs(lit) for lit in c}:
-            occurs[var].append(c)
         if len(c) > 1:
             watches[c[0]].append(c)
             watches[c[1]].append(c)
@@ -292,18 +288,20 @@ def internal_sat(formula: CnfFormula,
     todo = []  # (literal, trail length to undo to, first variable to scan)
     while True:
         if ok:
-            var = branch_var(start)
-            if not var:
-                model = tuple(v if value[v] == 1 else -v for v in range(1, n + 1))
-                return SatResult("sat", model, nodes)
+            for var in range(start, n + 1):
+                if not value[var]:
+                    break
+            else:  # every variable is assigned, each value[v] is +-1
+                return SatResult("sat", tuple(v * value[v] for v in range(1, n + 1)),
+                                 nodes)
             todo.append((-var, len(trail), var + 1))
             todo.append((var, len(trail), var + 1))
         if not todo:
             return SatResult("unsat", None, nodes)
+        if nodes == budget.max_nodes:
+            return SatResult("unknown", None, nodes)
         lit, mark, start = todo.pop()
         nodes += 1
-        if nodes > budget.max_nodes:
-            return SatResult("unknown", None, nodes)
         for x in trail[mark:]:
             value[x] = value[-x] = 0
         del trail[mark:]

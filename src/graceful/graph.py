@@ -359,13 +359,17 @@ def gnp_graph(n: int, p: float, seed: int) -> Graph:
     return Graph.from_edges(n, edges)
 
 
-def cubic_graph(n: int, seed: int, max_retries: int = 1000) -> Graph:
+CUBIC_RETRIES = 1000
+
+
+def cubic_graph(n: int, seed: int) -> Graph:
     """Random 3-regular graph via the pairing model, rejecting loops and
-    multi-edges.  Deterministic in (n, seed)."""
+    multi-edges, with up to CUBIC_RETRIES pairings.  Deterministic in
+    (n, seed)."""
     if n < 4 or n % 2:
         raise ValueError("cubic graphs need even n >= 4")
     rng = SplitMix64(seed)
-    for attempt in range(max_retries):
+    for _ in range(CUBIC_RETRIES):
         points = [v for v in range(n) for _ in range(3)]
         rng.shuffle(points)
         edges = set()
@@ -378,7 +382,7 @@ def cubic_graph(n: int, seed: int, max_retries: int = 1000) -> Graph:
             edges.add((min(u, v), max(u, v)))
         if ok:
             return Graph.from_edges(n, sorted(edges))
-    raise RuntimeError(f"cubic generation failed after {max_retries} retries")
+    raise RuntimeError(f"cubic generation failed after {CUBIC_RETRIES} retries")
 
 
 def generate(kind: str, *args) -> Graph:

