@@ -54,6 +54,8 @@ def _budget(args) -> solve.SearchBudget:
 
 
 def cmd_an(args) -> int:
+    if args.n > sequences.MAX_N:  # a valid n, only beyond the search's reach
+        raise solve.UndecidedError(f"a(n) is computed only up to n={sequences.MAX_N}")
     value, witness = sequences.a_of_n(args.n)
     emit({"n": args.n, "a": value, "witness": list(witness.elements)})
     return EXIT_OK
@@ -81,7 +83,8 @@ def cmd_decide(args) -> int:
 def cmd_verify(args) -> int:
     g = read_graph(args.graph)
     colors = json.loads(_read_text(args.coloring))
-    if not isinstance(colors, list) or not all(isinstance(c, int) for c in colors):
+    if not isinstance(colors, list) or not all(
+            isinstance(c, int) and not isinstance(c, bool) for c in colors):
         raise ValueError("coloring file must be a JSON array of integers")
     f = VertexColoring(tuple(colors), max(colors, default=0))
     checker = (is_distance_two_coloring if args.check == "distance2"

@@ -7,8 +7,18 @@ AP-free sets containing 1 answers both a(n) and the list of its optimal
 witnesses.  It adds elements in increasing order and carries a bitmask of
 banned values: adding c bans 2c - b for every chosen b, the one value that
 would complete a progression b, c, 2c - b.  Every progression that a later
-candidate could complete has both its smaller elements chosen, so a
-candidate is tested with one bit test.
+candidate could complete has both its smaller elements chosen, so the
+candidates are the clear bits of the mask.  The chosen set is also kept
+mirrored in a second mask, so the values that c bans are one shift of it.
+
+The search is pruned by an interval bound.  The largest AP-free subset of an
+interval of length L has r(L) = max{t : a(t) <= L} elements, so the t
+elements still missing before candidate c, which all lie in [c..k], fit only
+if a(t) <= k - c + 1.  The bound cuts only subtrees that cannot be completed,
+so the lexicographic order of the sets found is kept.  a(n) is computed after
+a(1..n-1), which the bound reads.  With it a cold a(17) takes under a second
+instead of minutes (Gasarch, Glenn & Kruskal, JCSS 2008, use bounds of this
+kind for large 3-free sets).
 """
 
 from __future__ import annotations
@@ -18,7 +28,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterator
 
-MAX_N = 14
+MAX_N = 20
 
 
 @dataclass(frozen=True)
@@ -62,58 +72,73 @@ class _Cache:
 _cache = _Cache()
 
 
-def _ap_free_sets(n: int, k: int) -> Iterator[tuple[int, ...]]:
+def _ap_free_sets(n: int, k: int, spans: list[int]) -> Iterator[tuple[int, ...]]:
     """Every AP-free n-subset of {1..k} containing 1, in lexicographic
-    order.  A minimum-span set shifted down to start at 1 stays AP-free,
-    so every optimal witness contains both 1 and a(n)."""
+    order, given spans[t] = a(t) for t < n and k > a(n - 1).  A minimum-span
+    set shifted down to start at 1 stays AP-free, so every optimal witness
+    contains both 1 and a(n)."""
+    top = k + 1
     chosen = [1]
 
-    def dfs(lo: int, banned: int) -> Iterator[tuple[int, ...]]:
+    def dfs(lo: int, banned: int, mirror: int) -> Iterator[tuple[int, ...]]:
         if len(chosen) == n:
             yield tuple(chosen)
             return
-        # span pruning: enough room must remain for the missing elements
-        for c in range(lo, k + 2 - (n - len(chosen))):
-            if banned >> c & 1:
-                continue
-            ban_c = banned
-            for b in chosen:
-                ban_c |= 1 << (2 * c - b)  # b, c, 2c - b
+        # interval bound: the missing elements lie in [c..k], which must be at
+        # least a(missing) long.  The window ends at or above lo, since a is
+        # strictly increasing and k > a(n - 1).
+        free = ~banned & ((1 << (k + 2 - spans[n - len(chosen)])) - (1 << lo))
+        while free:
+            low = free & -free
+            free ^= low
+            c = low.bit_length() - 1
             chosen.append(c)
-            yield from dfs(c + 1, ban_c)
+            # mirror has bit top - b for every chosen b, so shifted up by
+            # 2c - top it has bit 2c - b, which completes b, c, 2c - b
+            yield from dfs(c + 1, banned | (mirror << 2 * c) >> top,
+                           mirror | 1 << (top - c))
             chosen.pop()
 
-    return dfs(2, 0)
+    return dfs(2, 0, 1 << k)
+
+
+def _optima(n: int) -> list[tuple[int, tuple[int, ...]]]:
+    """(a(t), lexicographically first witness) for t = 1..n, through the
+    memo.  They are found in order of t, since the search for a(t) is
+    bounded by a(1..t-1)."""
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    if n > MAX_N:
+        raise ValueError(f"n={n} exceeds limit {MAX_N}")
+    optima: list[tuple[int, tuple[int, ...]]] = []
+    spans = [0]
+    for t in range(1, n + 1):
+        with _cache.lock:
+            hit = _cache.values.get(t)
+        if hit is None:
+            k = spans[-1] + 1  # a is strictly increasing
+            while (wit := next(_ap_free_sets(t, k, spans), None)) is None:
+                k += 1
+            hit = (k, wit)
+            with _cache.lock:
+                _cache.values[t] = hit
+        optima.append(hit)
+        spans.append(hit[0])
+    return optima
 
 
 def a_of_n(n: int) -> tuple[int, ApFreeSet]:
     """Least span a(n) of an n-element AP-free subset of the positive
     integers, with the lexicographically first witness attaining it."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if n > MAX_N:
-        raise ValueError(f"n={n} exceeds limit {MAX_N}")
-    with _cache.lock:
-        hit = _cache.values.get(n)
-    if hit:
-        return hit[0], ApFreeSet(hit[1])
-    # start the scan at the previous value + 1 (a is strictly increasing);
-    # this is only a starting hint, correctness comes from the upward scan
-    k = n
-    if n - 1 in _cache.values:
-        k = max(k, _cache.values[n - 1][0] + 1)
-    while (wit := next(_ap_free_sets(n, k), None)) is None:
-        k += 1
-    with _cache.lock:
-        _cache.values[n] = (k, wit)
-    return k, ApFreeSet(wit)
+    value, wit = _optima(n)[-1]
+    return value, ApFreeSet(wit)
 
 
 def all_optimal_witnesses(n: int) -> list[ApFreeSet]:
     """Every AP-free n-subset of {1..a(n)} whose span is exactly a(n),
     in lexicographic order."""
-    value, _ = a_of_n(n)
-    return [ApFreeSet(w) for w in _ap_free_sets(n, value)]
+    spans = [0] + [value for value, _ in _optima(n)]
+    return [ApFreeSet(w) for w in _ap_free_sets(n, spans[n], spans)]
 
 
 def a_of_n_bruteforce(n: int) -> int:

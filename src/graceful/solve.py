@@ -288,8 +288,10 @@ def graceful_chromatic_number(g: Graph,
                               budget: SearchBudget = SearchBudget()) -> OptimumResult:
     """chi_g(G), iterating k upward from the lower bound chi(G^2).  A 'no'
     at the proven ceiling a(chi(G^2)) is a defect, never silently accepted;
-    the ceiling is only consulted where a(n) is in reach (n <= MAX_N), and
-    the node budget bounds the loop everywhere."""
+    the ceiling is only consulted where a(n) is in reach (n <= MAX_N = 20),
+    and the node budget bounds the loop everywhere.  The first refuted k
+    computes a(chi(G^2)) if it is not memoised, which the node budget does
+    not count: cold, a(20) takes a few seconds."""
     if g.n == 0:
         return OptimumResult("ok", 0, None, 0)
     lower = distance_two_chromatic_number(g, budget)

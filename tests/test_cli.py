@@ -21,6 +21,15 @@ def test_an(capsys):
     assert payload == {"schema": 1, "n": 4, "a": 5, "witness": [1, 2, 4, 5]}
 
 
+def test_an_beyond_sequence_limit_is_undecided(capsys):
+    assert_undecided(capsys, "an", "21")
+
+
+def test_an_zero_is_input_error(capsys):
+    assert main(["an", "0"]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_chig_stdin(capsys, monkeypatch, tmp_path):
     p = tmp_path / "g.g6"
     p.write_text("A_\n")
@@ -30,10 +39,10 @@ def test_chig_stdin(capsys, monkeypatch, tmp_path):
 
 def test_chig_beyond_sequence_limit(capsys, tmp_path):
     from graceful import star_graph, write_edge_list
-    p = tmp_path / "star14.txt"
-    p.write_text(write_edge_list(star_graph(14)))
+    p = tmp_path / "star20.txt"
+    p.write_text(write_edge_list(star_graph(20)))
     code, payload = run(capsys, "chig", str(p))
-    assert code == 0 and payload["value"] == 15
+    assert code == 0 and payload["value"] == 21
 
 
 def test_decide(capsys, tmp_path):
@@ -56,6 +65,16 @@ def test_verify(capsys, tmp_path):
     code, payload = run(capsys, "verify", "--coloring", str(c), str(g))
     assert payload["answer"] == "invalid"
     assert payload["violation"]["kind"] == "label"
+
+
+def test_verify_rejects_boolean_colors(capsys, tmp_path):
+    g = tmp_path / "g.txt"
+    g.write_text("3 2\n0 1\n1 2\n")
+    c = tmp_path / "c.json"
+    c.write_text("[true, 2, 3]")
+    assert main(["verify", "--coloring", str(c), str(g)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: ")
 
 
 def test_verify_empty_graph(capsys, tmp_path):
@@ -91,9 +110,9 @@ def test_gadget_budget_exhausted_exit_code(capsys):
 
 
 def test_bounds_beyond_sequence_limit_exit_code(capsys, tmp_path):
-    from graceful import gnp_graph, write_edge_list
-    p = tmp_path / "g15.txt"
-    p.write_text(write_edge_list(gnp_graph(15, 0.4, 2)))  # chi(G^2) = 15
+    from graceful import star_graph, write_edge_list
+    p = tmp_path / "star20.txt"
+    p.write_text(write_edge_list(star_graph(20)))  # chi(G^2) = 21
     assert_undecided(capsys, "bounds", str(p))
 
 

@@ -1,3 +1,6 @@
+from bisect import bisect_right
+from itertools import combinations
+
 import pytest
 
 from graceful import (ApFreeSet, a_of_n, a_of_n_bruteforce,
@@ -49,6 +52,8 @@ def test_a_of_n_rejects_bad_input():
     with pytest.raises(ValueError):
         a_of_n(0)
     with pytest.raises(ValueError):
+        a_of_n(21)
+    with pytest.raises(ValueError):
         a_of_n(99)
 
 
@@ -58,7 +63,7 @@ def test_all_optimal_witnesses_small():
 
 
 def test_witnesses_are_ap_free_with_exact_span():
-    for n in range(1, 8):
+    for n in range(1, 15):
         value = a_of_n(n)[0]
         wits = all_optimal_witnesses(n)
         assert wits
@@ -115,3 +120,34 @@ def test_a_of_n_larger_values_and_witnesses(n):
     assert a_of_n(n) == (value, ApFreeSet(witness))
     wits = all_optimal_witnesses(n)
     assert len(wits) == count and wits[0].elements == witness
+
+
+def test_interval_bound_matches_bruteforce():
+    # the search prunes with r(L) = max{t : a(t) <= L}, the size of the
+    # largest AP-free subset of an interval of length L
+    spans = [a_of_n(t)[0] for t in range(1, 10)]  # a(9) = 20 > 14
+    for length in range(15):
+        subsets = (s for size in range(length + 1)
+                   for s in combinations(range(1, length + 1), size))
+        largest = max(len(s) for s in subsets if is_ap_free(s))
+        assert bisect_right(spans, length) == largest
+
+
+# a(15..20) of OEIS A065825 with their lexicographically first witnesses;
+# 15 to 18 agree with the search before it had the interval bound
+BEYOND = {
+    15: (40, (1, 2, 4, 5, 10, 11, 13, 14, 28, 29, 31, 32, 37, 38, 40)),
+    16: (41, (1, 2, 4, 5, 10, 11, 13, 14, 28, 29, 31, 32, 37, 38, 40, 41)),
+    17: (51, (1, 2, 4, 5, 10, 13, 14, 17, 31, 35, 37, 38, 40, 46, 47, 50, 51)),
+    18: (54, (1, 2, 5, 6, 12, 14, 15, 17, 21, 31, 38, 39, 42, 43, 49, 51, 52, 54)),
+    19: (58, (1, 2, 5, 6, 12, 14, 15, 17, 21, 31, 38, 39, 42, 43, 49, 51, 52, 54,
+              58)),
+    20: (63, (1, 2, 5, 7, 11, 16, 18, 19, 24, 26, 38, 39, 42, 44, 48, 53, 55, 56,
+              61, 63)),
+}
+
+
+@pytest.mark.parametrize("n", sorted(BEYOND))
+def test_a_of_n_up_to_the_limit(n):
+    value, witness = BEYOND[n]
+    assert a_of_n(n) == (value, ApFreeSet(witness))
