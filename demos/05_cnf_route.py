@@ -2,7 +2,9 @@
 
 Besides the native backtracking solver there is a CNF route: one boolean
 per (vertex, color), clause families for properness, distance-two pairs,
-and equal-difference path triples.  The two routes must always agree."""
+and equal-difference path triples, decided by a small built-in CDCL solver
+(conflict-driven clause learning, whose nodes are its decisions) or by any
+external SAT solver fed the DIMACS text.  The two routes must always agree."""
 
 from graceful import complete_graph, cycle_graph, graceful_k_colorable
 from graceful.cnf import (decode_model, encode_graceful, internal_sat,
@@ -14,7 +16,8 @@ for k in (3, 4, 5):
     sat = internal_sat(formula)
     native = graceful_k_colorable(g, k)
     print(f"C_5, k={k}: {len(formula.clauses)} clauses "
-          f"{formula.family_counts}, SAT={sat.status}, native={native.status}")
+          f"{formula.family_counts}, SAT={sat.status} in {sat.nodes} decisions, "
+          f"native={native.status}")
     if sat.status == "sat":
         print("   decoded witness:", decode_model(formula, sat.model).colors)
 

@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
+import signal
 import subprocess
 import sys
 
@@ -22,6 +24,9 @@ SCHEMA = 1
 EXIT_OK = 0
 EXIT_INPUT = 1
 EXIT_UNKNOWN = 2
+
+# wall-clock limit on `solve --external`; past it the answer is undecided
+EXTERNAL_TIMEOUT_S = 600
 
 
 def _read_text(path: str) -> str:
@@ -180,15 +185,28 @@ def cmd_solve(args) -> int:
     g = read_graph(args.graph)
     formula = cnf.encode_graceful(g, args.k)
     if args.external:
-        proc = subprocess.run(args.external, shell=True,
-                              input=cnf.write_dimacs(formula),
-                              capture_output=True, text=True)
+        # the shell leads its own process group, so a timeout kills the
+        # solver it started too, which would otherwise hold stdout open
+        with subprocess.Popen(args.external, shell=True, start_new_session=True,
+                              stdin=subprocess.PIPE, stdout=subprocess.PIPE,
+                              stderr=subprocess.PIPE, text=True) as proc:
+            try:
+                stdout, _ = proc.communicate(cnf.write_dimacs(formula),
+                                             timeout=EXTERNAL_TIMEOUT_S)
+            except subprocess.TimeoutExpired:
+                try:
+                    os.killpg(proc.pid, signal.SIGKILL)
+                except ProcessLookupError:  # the whole group exited meanwhile
+                    pass
+                proc.communicate()
+                raise solve.UndecidedError(
+                    f"external solver timed out after {EXTERNAL_TIMEOUT_S} s") from None
         # SAT-competition exit codes: 10 with SATISFIABLE, 20 with
         # UNSATISFIABLE; any other nonzero code is a solver failure, and so
         # is output without a verdict or a model that is not a coloring
         code = proc.returncode
         try:
-            status, model = cnf.parse_solver_output(proc.stdout)
+            status, model = cnf.parse_solver_output(stdout)
         except ValueError as exc:
             if code == 0:
                 raise solve.UndecidedError(

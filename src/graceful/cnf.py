@@ -1,5 +1,5 @@
 """CNF encoding of graceful k-colorability, DIMACS emission, solver-output
-parsing, and a small complete DPLL solver for cross-checks.
+parsing, and a small complete CDCL solver for cross-checks.
 
 Variable x_{v,c} (id v*k + c) means vertex v gets color c.  Clause families:
 
@@ -13,24 +13,25 @@ where paths = sum_v C(d(v),2) and T(k) counts ordered same-parity color
 pairs (cu, cw), cu != cw; the middle color is then forced to (cu+cw)/2.
 The cu == cw half of the path constraint is exactly family d2.
 
-The DPLL below keeps one assignment with an undo trail, propagates unit
-clauses through two watched literals per clause, and branches on the
-smallest unassigned variable until none is left; it keeps no index of the
-clauses a variable occurs in.  On these formulas that index would change
-nothing.  After unit propagation without a conflict an unassigned x_{v,c}
-still sits in v's family-a clause, and that clause is open: a true x_{v,c'}
-would have set x_{v,c} false through family b, and were every other color
-of v false the family-a clause would be a unit.  So the smallest unassigned
-variable is the smallest unassigned variable of an open clause, and some
-clause is open exactly while some variable is unassigned.  The same
-argument leaves another x_{v,c'} unassigned, so the family-b clause
-(-x_{v,c} v -x_{v,c'}) is open too and x_{v,c} occurs with both signs: no
-literal is ever pure, and the DPLL has no pure-literal rule.
+The solver below is conflict-driven clause learning (Zhang, Madigan,
+Moskewicz & Malik, ICCAD 2001; Een & Sorensson, SAT 2003) without restarts,
+saved phases or clause deletion, so it is deterministic and its one
+parameter is the node budget.  Each decision sets the smallest unassigned
+variable true and opens a level; unit propagation runs over per-literal
+implication lists for the binary clauses (families b, c and d2, most of an
+encoded formula) and two watched literals for the longer ones.  A conflict
+above level 0 is resolved back to its first unique implication point; the
+clause learnt is asserting, so the search undoes at least one level and
+sets the negated point true where the clause becomes a unit.  A conflict at
+level 0 proves the formula unsat.  Levels rise by one per decision and fall
+by at least one per conflict, so a search with d decisions meets at most
+d + 1 conflicts: the node budget, counted in decisions, bounds the work.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Sequence
 
 from .coloring import VertexColoring, is_graceful_coloring
@@ -47,12 +48,14 @@ class CnfFormula:
     family_counts: dict[str, int] = field(default_factory=dict)
 
     def __post_init__(self):
+        lits = list(chain.from_iterable(self.clauses))
+        if 0 in lits:
+            raise ValueError("zero literal in clause")
+        if lits and max(max(lits), -min(lits)) > self.num_vars:
+            raise ValueError("literal exceeds num_vars")
         for cl in self.clauses:
-            if any(lit == 0 for lit in cl):
-                raise ValueError("zero literal in clause")
-            if any(abs(lit) > self.num_vars for lit in cl):
-                raise ValueError("literal exceeds num_vars")
-            if any(-lit in cl for lit in cl):
+            # a repeated literal shrinks both sets alike; x with -x only the first
+            if len(set(map(abs, cl))) != len(set(cl)):
                 raise ValueError("clause contains a literal and its negation")
 
 
@@ -190,7 +193,7 @@ def parse_solver_output(text: str):
 
 
 # ---------------------------------------------------------------------------
-# Internal DPLL
+# Internal CDCL
 
 @dataclass(frozen=True)
 class SatResult:
@@ -201,58 +204,77 @@ class SatResult:
 
 def internal_sat(formula: CnfFormula,
                  budget: SearchBudget = SearchBudget()) -> SatResult:
-    """Complete DPLL with unit propagation over two watched literals.
+    """Complete CDCL (see the module docstring) over one assignment.
 
-    One assignment is kept; a branch is undone by popping the trail of set
-    literals back to where its node began.  The first two positions of a
-    clause of length >= 2 are its watches, and a clause is visited only when
-    a watched literal turns false: the watch moves to a literal not yet
-    false, or, if none is left, the clause is a unit or a conflict.  Clauses
-    of length 1 seed the propagation at the root; an empty clause makes the
-    formula unsat at once.  Watches sit on positions, so a literal repeated
-    in a clause counts once per position.
+    The trail lists the literals set, each with its decision level and its
+    reason: the clause that implied it.  A binary clause (a v b) sits in
+    two implication lists, b under a and a under b, read when the literal
+    they sit under turns false.  A longer clause is watched on its first
+    two positions and visited only when a watched literal turns false: the
+    watch moves to a literal not yet false, or, if none is left, the clause
+    is a unit or a conflict.  Watches sit on positions, so a literal
+    repeated in a clause counts once per position.  Clauses of length 1
+    are set at level 0; an empty clause makes the formula unsat at once.
 
-    The search branches on the smallest unassigned variable, var before
-    -var, and returns 'sat' once every variable is assigned; on an encoded
-    formula that variable is the smallest one of an open clause (family a,
-    see the module docstring).  A generic CNF is still decided completely,
-    though a variable whose clauses are all satisfied costs nodes.  A node's
-    unassigned variables are a subset of its parent's, so the scan starts
-    past the parent's branch variable.  One node is counted per branch
-    tried, and the search returns 'unknown' with budget.max_nodes nodes
-    rather than try one more.  Unit propagation reaches the same fixpoint,
-    or a conflict, in any order (a literal one order derives is true at the
-    fixpoint of any other, which leaves no unit), so the order of the watch
-    lists cannot change the search tree.  The search keeps its own stack of
-    branches, so its depth is not bounded by the interpreter's recursion
-    limit."""
+    The search returns 'sat' once every variable is assigned, so a
+    variable whose clauses are all satisfied still costs a decision.  The
+    clause learnt from a conflict holds the negated first unique
+    implication point and each literal of a lower level but 0 in the
+    clauses resolved to reach it; the search jumps back to the highest of
+    those levels.  One node is counted per decision, and the search
+    returns 'unknown' with budget.max_nodes nodes rather than make one
+    more.  The search keeps its own state, so its depth is not bounded by
+    the interpreter's recursion limit."""
     n = formula.num_vars
     if any(not cl for cl in formula.clauses):
         return SatResult("unsat", None, 0)
     # value[lit] is 1 if lit is true, -1 if false, 0 if open; with the list
-    # 2n + 1 long, value[-v] sits at index 2n + 1 - v
+    # 2n + 1 long, value[-v] sits at index 2n + 1 - v.  level, reason and
+    # seen are indexed the same way and read at the literal that is true.
     value = [0] * (2 * n + 1)
+    level = [0] * (2 * n + 1)
+    reason: list = [None] * (2 * n + 1)  # a clause, or a binary clause's other literal
+    seen = [False] * (2 * n + 1)
+    implied: list[list[int]] = [[] for _ in range(2 * n + 1)]
     watches: list[list[list[int]]] = [[] for _ in range(2 * n + 1)]
     trail: list[int] = []
+    starts: list[int] = []  # trail position where each decision level begins
 
-    def assign(lit):
+    def assign(lit, depth, why):
         value[lit] = 1
         value[-lit] = -1
         trail.append(lit)
+        level[lit] = depth
+        reason[lit] = why
 
-    def propagate(head):
-        """Visit the watchers of each literal falsified from trail[head] on;
-        False on a conflict."""
+    def propagate(head, depth):
+        """Propagate each literal falsified from trail[head] on at level
+        depth; the literals of a conflicting clause, all false, or None."""
         while head < len(trail):
             false = -trail[head]
             head += 1
+            for other in implied[false]:
+                v = value[other]
+                if v == 1:
+                    continue
+                if v:
+                    return (false, other)
+                value[other] = 1  # assign(other, depth, false), inlined on the hot path
+                value[-other] = -1
+                trail.append(other)
+                level[other] = depth
+                reason[other] = false
             watching = watches[false]
             watches[false] = kept = []
             for i, c in enumerate(watching):
-                if c[0] == false:
-                    c[0], c[1] = c[1], false
                 other = c[0]
-                if value[other] == 1:
+                if other == false:
+                    other = c[1]
+                    if value[other] == 1:
+                        kept.append(c)
+                        continue
+                    c[0], c[1] = other, false
+                elif value[other] == 1:
                     kept.append(c)
                     continue
                 for j in range(2, len(c)):
@@ -265,45 +287,98 @@ def internal_sat(formula: CnfFormula,
                     kept.append(c)
                     if value[other] == -1:
                         kept.extend(watching[i + 1:])
-                        return False
-                    value[other] = 1  # assign(other), inlined on the hot path
+                        return c
+                    value[other] = 1  # assign(other, depth, c), inlined
                     value[-other] = -1
                     trail.append(other)
-        return True
+                    level[other] = depth
+                    reason[other] = c
+        return None
 
-    ok = True
+    def analyze(conflict, depth):
+        """The first-UIP clause learnt from a conflict at level depth, its
+        asserting literal first and a literal of the highest lower level
+        second."""
+        learnt = [0]
+        pending = 0  # literals of level depth seen and not yet resolved
+        i = len(trail)
+        lits = conflict
+        while True:
+            for q in lits:
+                if not seen[-q] and level[-q]:
+                    seen[-q] = True
+                    if level[-q] == depth:
+                        pending += 1
+                    else:
+                        learnt.append(q)
+            i -= 1
+            while not seen[trail[i]]:
+                i -= 1
+            p = trail[i]
+            seen[p] = False
+            pending -= 1
+            if not pending:
+                break
+            r = reason[p]
+            lits = (r,) if type(r) is int else r[1:]
+        learnt[0] = -p
+        for q in learnt[1:]:
+            seen[-q] = False
+        if len(learnt) > 2:
+            top = max(range(1, len(learnt)), key=lambda j: level[-learnt[j]])
+            learnt[1], learnt[top] = learnt[top], learnt[1]
+        return learnt
+
+    conflict = None
     for cl in formula.clauses:
-        c = list(cl)
-        if len(c) > 1:
+        if len(cl) > 2:
+            c = list(cl)
             watches[c[0]].append(c)
             watches[c[1]].append(c)
-        elif value[c[0]] == -1:
-            ok = False
-        elif not value[c[0]]:
-            assign(c[0])
-    ok = ok and propagate(0)
+        elif len(cl) == 2:
+            implied[cl[0]].append(cl[1])
+            implied[cl[1]].append(cl[0])
+        elif value[cl[0]] == -1:
+            conflict = cl
+        elif not value[cl[0]]:
+            assign(cl[0], 0, None)
+    if conflict is None:
+        conflict = propagate(0, 0)
 
     nodes = 0
-    start = 1
-    todo = []  # (literal, trail length to undo to, first variable to scan)
+    start = 1  # every variable below it is assigned
     while True:
-        if ok:
-            for var in range(start, n + 1):
-                if not value[var]:
-                    break
-            else:  # every variable is assigned, each value[v] is +-1
-                return SatResult("sat", tuple(v * value[v] for v in range(1, n + 1)),
-                                 nodes)
-            todo.append((-var, len(trail), var + 1))
-            todo.append((var, len(trail), var + 1))
-        if not todo:
-            return SatResult("unsat", None, nodes)
+        if conflict is not None:
+            if not starts:
+                return SatResult("unsat", None, nodes)
+            learnt = analyze(conflict, len(starts))
+            back = level[-learnt[1]] if len(learnt) > 1 else 0
+            # the variables below the undone level's decision were assigned
+            # before it, at level back or lower
+            mark = starts[back]
+            start = abs(trail[mark])
+            for x in trail[mark:]:
+                value[x] = value[-x] = 0
+            del trail[mark:], starts[back:]
+            lit = learnt[0]
+            if len(learnt) == 2:
+                implied[lit].append(learnt[1])
+                implied[learnt[1]].append(lit)
+            elif len(learnt) > 2:
+                watches[lit].append(learnt)
+                watches[learnt[1]].append(learnt)
+            assign(lit, back, learnt[1] if len(learnt) == 2 else learnt)
+            conflict = propagate(mark, back)
+            continue
+        for var in range(start, n + 1):
+            if not value[var]:
+                break
+        else:  # every variable is assigned, each value[v] is +-1
+            return SatResult("sat", tuple(v * value[v] for v in range(1, n + 1)), nodes)
         if nodes == budget.max_nodes:
             return SatResult("unknown", None, nodes)
-        lit, mark, start = todo.pop()
         nodes += 1
-        for x in trail[mark:]:
-            value[x] = value[-x] = 0
-        del trail[mark:]
-        assign(lit)
-        ok = propagate(mark)
+        start = var + 1
+        starts.append(len(trail))
+        assign(var, len(starts), None)
+        conflict = propagate(len(trail) - 1, len(starts))

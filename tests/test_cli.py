@@ -2,10 +2,12 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
 import graceful
+from graceful import cli
 from graceful.cli import main
 
 
@@ -257,6 +259,20 @@ def test_solve_external_failed_solver_is_undecided(capsys, tmp_path, solver, cod
     captured = capsys.readouterr()
     assert captured.out == "" and f"code {code}" in captured.err
     assert captured.err.startswith("undecided: external solver")
+
+
+def test_solve_external_timeout_is_undecided(capsys, tmp_path, monkeypatch):
+    # sleep, a child of the shell, holds stdout open until the whole process
+    # group is killed
+    monkeypatch.setattr(cli, "EXTERNAL_TIMEOUT_S", 0.5)
+    g = tmp_path / "k3.txt"
+    g.write_text("3 3\n0 1\n1 2\n0 2\n")
+    start = time.monotonic()
+    assert main(["solve", "--k", "5", "--external", "sleep 30; echo", str(g)]) == 2
+    assert time.monotonic() - start < 10
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("undecided: external solver timed out")
 
 
 def test_solve_external_exit_code_verdicts(capsys, tmp_path):

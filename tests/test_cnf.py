@@ -1,6 +1,6 @@
 import pytest
 
-from graceful import (SearchBudget, complete_graph, gnp_graph,
+from graceful import (SearchBudget, complete_graph, cubic_graph, gnp_graph,
                       graceful_k_colorable, is_graceful_coloring)
 from graceful.cnf import (CnfFormula, SatResult, decode_model,
                           encode_graceful, internal_sat, parse_solver_output,
@@ -57,6 +57,14 @@ def test_equivalence_with_native_solver():
                 decode_model(encode_graceful(g, k), sat.model)
 
 
+def test_cubic_k5_refuted_within_budget():
+    # construction 1's 'no' at k = 5, which the native search also gives
+    g = cubic_graph(18, 25)
+    res = internal_sat(encode_graceful(g, 5), SearchBudget(2000))
+    assert res.status == "unsat" and res.nodes <= 2000
+    assert graceful_k_colorable(g, 5).status == "no"
+
+
 def test_decode_rejects_double_color():
     formula = encode_graceful(complete_graph(2), 2)
     with pytest.raises(ValueError, match="colors"):
@@ -94,6 +102,15 @@ def test_dimacs_roundtrip_verdicts():
         assert internal_sat(reparsed).status == internal_sat(formula).status
 
 
+def test_formula_rejects_bad_literals():
+    for clauses, message in ([[(1, 0)], "zero literal"],
+                             [[(1,), (2, -3)], "exceeds num_vars"],
+                             [[(1, 2), (2, -1, 1)], "and its negation"]):
+        with pytest.raises(ValueError, match=message):
+            CnfFormula(2, clauses)
+    assert CnfFormula(2, [(1, 1, -2), (-2,)]).clauses == [(1, 1, -2), (-2,)]
+
+
 def test_internal_sat_edges():
     assert internal_sat(CnfFormula(1, [(1,), (-1,)])).status == "unsat"
     res = internal_sat(CnfFormula(2, []))
@@ -109,23 +126,24 @@ def test_internal_sat_branches_on_smallest_unassigned_variable():
 
 
 def test_internal_sat_matches_truth_table():
-    rng = SplitMix64(41)
-    for _ in range(300):
-        nv = 1 + rng.randint(10)
-        clauses = []
-        for _ in range(rng.randint(4 * nv + 1)):
-            cl = []
-            for _ in range(1 + rng.randint(4)):
-                lit = (1 + rng.randint(nv)) * (1 if rng.randint(2) else -1)
-                if -lit not in cl:
-                    cl.append(lit)
-            clauses.append(tuple(cl))
-        res = internal_sat(CnfFormula(nv, clauses))
-        sat = any(all(any((bits >> (abs(lit) - 1) & 1) == (lit > 0) for lit in cl)
-                      for cl in clauses) for bits in range(1 << nv))
-        assert res.status == ("sat" if sat else "unsat"), (nv, clauses)
-        if sat:
-            assert all(any(lit in res.model for lit in cl) for cl in clauses)
+    for seed in range(41, 45):
+        rng = SplitMix64(seed)
+        for _ in range(300):
+            nv = 1 + rng.randint(10)
+            clauses = []
+            for _ in range(rng.randint(4 * nv + 1)):
+                cl = []
+                for _ in range(1 + rng.randint(4)):
+                    lit = (1 + rng.randint(nv)) * (1 if rng.randint(2) else -1)
+                    if -lit not in cl:
+                        cl.append(lit)
+                clauses.append(tuple(cl))
+            res = internal_sat(CnfFormula(nv, clauses))
+            sat = any(all(any((bits >> (abs(lit) - 1) & 1) == (lit > 0) for lit in cl)
+                          for cl in clauses) for bits in range(1 << nv))
+            assert res.status == ("sat" if sat else "unsat"), (nv, clauses)
+            if sat:
+                assert all(any(lit in res.model for lit in cl) for cl in clauses)
 
 
 def test_internal_sat_needs_no_recursion():

@@ -1,8 +1,8 @@
 """Pinned search-node counts.  Node counts are machine independent and follow
 from the branching order alone, so any change to the order in which the
-native search picks vertices and colors, or the DPLL picks literals,
-changes some number here.  A change that means to alter the order must say
-so and update the pins.
+native search picks vertices and colors, or the CDCL solver picks,
+propagates and learns literals, changes some number here.  A change that
+means to alter the order must say so and update the pins.
 
 The native search branches on the vertex with the fewest allowed colors,
 then the most wipeouts so far (dom/wdeg), then the highest degree, then
@@ -50,6 +50,13 @@ def test_reduced_e4_9_unsat_at_k4(e4_9_unsat):
         ("consistent", "no", 24544), ("consistent", "no", 17185)]
 
 
+def test_reduced_e4_9_unsat_on_cnf_route(e4_9_unsat):
+    # the CNF route refutes the paper's hard case too, matching the native 'no'
+    results = [internal_sat(encode_graceful(nae_reduce(phi).graph, 4), SearchBudget(20_000))
+               for phi in e4_9_unsat]
+    assert [(r.status, r.nodes) for r in results] == [("unsat", 8594), ("unsat", 8772)]
+
+
 CUBIC_K5_NODES = {12: 32, 14: 32, 16: 68, 18: 38}
 
 
@@ -59,21 +66,22 @@ def test_cubic_at_k5(n):
 
 
 @pytest.mark.parametrize("g, k, expected", [
-    (cubic_graph(12, 0), 5, ("unsat", 534, None)),
-    (cubic_graph(14, 0), 5, ("unsat", 450, None)),
-    (cubic_graph(16, 0), 5, ("unsat", 2218, None)),
-    (cubic_graph(18, 0), 5, ("unsat", 890, None)),
-    (complete_graph(5), 8, ("unsat", 1198, None)),
-    (complete_graph(5), 9, ("sat", 6, (1, 2, 4, 8, 9))),
-    (cubic_graph(12, 0), 6, ("sat", 32, (1, 2, 1, 4, 6, 6, 3, 3, 4, 5, 2, 5))),
-    (cubic_graph(14, 0), 6, ("sat", 254, (1, 2, 5, 6, 1, 3, 5, 4, 4, 2, 6, 6, 5, 3))),
-    (cubic_graph(16, 0), 6, ("sat", 188, (1, 1, 2, 5, 2, 6, 5, 6, 4, 2, 3, 3, 5, 4, 6, 1))),
-    (complete_graph(6), 10, ("unsat", 6910, None)),
+    (cubic_graph(12, 0), 5, ("unsat", 191, None)),
+    (cubic_graph(14, 0), 5, ("unsat", 103, None)),
+    (cubic_graph(16, 0), 5, ("unsat", 423, None)),
+    (cubic_graph(18, 0), 5, ("unsat", 291, None)),
+    (complete_graph(5), 8, ("unsat", 375, None)),
+    (complete_graph(5), 9, ("sat", 5, (1, 2, 4, 8, 9))),
+    (cubic_graph(12, 0), 6, ("sat", 13, (1, 2, 1, 4, 6, 6, 3, 3, 4, 5, 2, 5))),
+    (cubic_graph(14, 0), 6, ("sat", 106, (1, 2, 5, 6, 1, 3, 5, 4, 4, 2, 6, 6, 5, 3))),
+    (cubic_graph(16, 0), 6, ("sat", 67, (1, 1, 2, 5, 2, 6, 5, 6, 4, 2, 3, 3, 5, 4, 6, 1))),
+    (complete_graph(6), 10, ("unsat", 1980, None)),
     (complete_graph(6), 11, ("sat", 5, (1, 2, 4, 5, 10, 11))),
 ])
 def test_dpll_nodes(g, k, expected):
-    # the DPLL branches on the smallest unassigned variable, var before -var;
-    # the model pins the leaf it stops at
+    # CDCL is DPLL with clause learning; a node is a decision, which sets the
+    # smallest unassigned variable true, and the model pins the assignment
+    # the search stops at
     formula = encode_graceful(g, k)
     res = internal_sat(formula)
     colors = decode_model(formula, res.model).colors if res.status == "sat" else None
