@@ -237,8 +237,16 @@ def cmd_solve(args) -> int:
     return EXIT_UNKNOWN
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse exits 2 on a usage error, which here means undecided."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_INPUT, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    top = argparse.ArgumentParser(prog="graceful")
+    top = _Parser(prog="graceful")
     sub = top.add_subparsers(dest="command", required=True)
     inputs = {"graph": "graph file (graph6 or edge list), or -",
               "input": "graph or NAE formula file, or -"}

@@ -63,8 +63,33 @@ class InternalConsistencyError(AssertionError):
 # difference labels are also distinct at every vertex, so one depth-first
 # search decides both; `graceful` switches the label check on.
 
+Shape = tuple[tuple[frozenset[int], ...], list[tuple[int, ...]]]
+
+
+def _shape(g: Graph) -> Shape:
+    """What the search needs of g besides g itself, computed once per graph:
+    the adjacency of G^2, and for each vertex its twin class in increasing
+    order (itself included), or () if it has no twin.  Twins are vertices of
+    degree >= 1 with the same open neighbourhood N(v) or the same closed one
+    N[v]; no vertex has twins of both kinds, and no open neighbourhood
+    equals a closed one, so one dict of frozensets finds both."""
+    classes: dict[frozenset[int], list[int]] = {}
+    for v, a in enumerate(g.adjacency):
+        if a:
+            classes.setdefault(a, []).append(v)
+            classes.setdefault(a | {v}, []).append(v)
+    twins: list[tuple[int, ...]] = [()] * g.n
+    for members in classes.values():
+        if len(members) > 1:
+            members = tuple(members)
+            for v in members:
+                twins[v] = members
+    return square(g).adjacency, twins
+
+
 def _colorings(g: Graph, k: int, budget: SearchBudget, tally: list[int],
-               graceful: bool, symmetric: bool) -> Iterator[tuple[int, ...]]:
+               graceful: bool, symmetric: bool,
+               shape: Shape) -> Iterator[tuple[int, ...]]:
     """Yield k-colorings of g in depth-first order, counting search nodes in
     tally[0] and raising UndecidedError, with tally[0] at the budget, when
     one more node would exceed it.
@@ -77,9 +102,27 @@ def _colorings(g: Graph, k: int, budget: SearchBudget, tally: list[int],
     then the lowest index.  Vertices that keep failing are thus tried early,
     where their failures prune the most; on the reduced NAE-3SAT-E4 graphs
     this turns searches of 10^5 nodes and more into a few thousand.
-    With symmetric, one coloring per symmetry class survives: graceful search
-    caps the root vertex at ceil(k/2) (reflection c -> k+1-c), distance-two
+    With symmetric, one coloring per symmetry class survives.  Distance-two
     search opens at most one new color per node (color interchange).
+    Graceful search keeps two rules:
+      - twin order: each twin class (see _shape) is colored increasingly in
+        vertex index.  Any permutation of a twin class is an automorphism,
+        and twins lie within distance two, so their colors differ and every
+        graceful coloring can be sorted into this order (lex-leader symmetry
+        breaking; Crawford, Ginsberg, Luks & Roy, KR 1996).  When a twin
+        takes color c, its uncolored later twins ban 1..c-1 and its
+        uncolored earlier twins ban c+1..k.
+      - reflection: the root vertex is capped at ceil(k/2), since
+        c -> k+1-c maps graceful colorings to graceful colorings.
+    Together they stay complete when the root is the lowest-index member of
+    its class: reflect a coloring if its root is above ceil(k/2), then sort
+    each class, which can only lower the root's color.  That always holds,
+    as twins have the same degree and so tie on every key but the index when
+    the root is picked; the cap is skipped if it ever did not.  The twin
+    rule is graceful only: the distance-two cap is a rule on color values
+    (value precedence), and a vertex order combined with it is not sound in
+    general, nor proven sound for this search.  Without symmetric no rule
+    applies, and every coloring is found.
 
     The allowed colors are kept, not recomputed: ban[v*K + c] counts the
     colored structures that forbid color c at the uncolored vertex v, every
@@ -88,7 +131,9 @@ def _colorings(g: Graph, k: int, budget: SearchBudget, tally: list[int],
     a vertex's counts are exact again once the frames below it are undone."""
     n = g.n
     adj = g.adjacency
-    near = square(g).adjacency
+    near, twins = shape
+    if not (graceful and symmetric):
+        twins = [()] * n
     K = k + 1
     ban = [0] * (n * K)
     if graceful:
@@ -152,6 +197,10 @@ def _colorings(g: Graph, k: int, budget: SearchBudget, tally: list[int],
                 for w in adj[u]:
                     if not col[w]:
                         forbid(w, t)
+        for w in twins[v]:
+            if not col[w]:
+                for t in (range(1, c) if w > v else range(c + 1, K)):
+                    forbid(w, t)
 
     def undo(mark: int) -> None:
         for i in trail[mark:]:
@@ -171,7 +220,8 @@ def _colorings(g: Graph, k: int, budget: SearchBudget, tally: list[int],
         if not symmetric:
             cap = k
         elif graceful:
-            cap = (k + 1) // 2 if max_used == 0 else k
+            lowest = not twins[v] or twins[v][0] == v
+            cap = (k + 1) // 2 if max_used == 0 and lowest else k
         else:
             cap = min(max_used + 1, k)
         colors = [c for c in range(1, cap + 1) if not ban[v * K + c]]
@@ -203,12 +253,13 @@ def _colorings(g: Graph, k: int, budget: SearchBudget, tally: list[int],
             stack.append(frame)
 
 
-def _decide(g: Graph, k: int, budget: SearchBudget, graceful: bool) -> Decision:
+def _decide(g: Graph, k: int, budget: SearchBudget, graceful: bool,
+            shape: Shape) -> Decision:
     if k < 1:
         raise ValueError("k must be >= 1")
     tally = [0]
     try:
-        sol = next(_colorings(g, k, budget, tally, graceful, symmetric=True), None)
+        sol = next(_colorings(g, k, budget, tally, graceful, True, shape), None)
     except UndecidedError:
         return Decision("unknown", None, tally[0])
     if sol is None:
@@ -223,13 +274,13 @@ def _decide(g: Graph, k: int, budget: SearchBudget, graceful: bool) -> Decision:
 def graceful_k_colorable(g: Graph, k: int,
                          budget: SearchBudget = SearchBudget()) -> Decision:
     """Exact decision: does g admit a graceful coloring with palette 1..k?"""
-    return _decide(g, k, budget, graceful=True)
+    return _decide(g, k, budget, True, _shape(g))
 
 
 def distance_two_k_colorable(g: Graph, k: int,
                              budget: SearchBudget = SearchBudget()) -> Decision:
     """Exact decision: is g^2 properly k-colorable?"""
-    return _decide(g, k, budget, graceful=False)
+    return _decide(g, k, budget, False, _shape(g))
 
 
 def enumerate_graceful_colorings(g: Graph, k: int,
@@ -237,7 +288,7 @@ def enumerate_graceful_colorings(g: Graph, k: int,
     """ALL graceful k-colorings of g, no symmetry breaking.  Raises
     UndecidedError on budget exhaustion since a partial enumeration
     certifies nothing."""
-    found = sorted(_colorings(g, k, budget, [0], graceful=True, symmetric=False))
+    found = sorted(_colorings(g, k, budget, [0], True, False, _shape(g)))
     return [VertexColoring(t, k) for t in found]
 
 
@@ -254,14 +305,14 @@ def graceful_k_colorable_bruteforce(g: Graph, k: int) -> Decision:
 # Chromatic-number iterations
 
 def _least_k(g: Graph, k: int, budget: SearchBudget, total: int, graceful: bool,
-             ceiling: Callable[[int], bool]) -> OptimumResult:
+             ceiling: Callable[[int], bool], shape: Shape) -> OptimumResult:
     """The least k' >= k with a coloring, deciding k, k+1, ... in turn and
     adding each decision's nodes to total.  Each decision gets what is left of
     the budget, and the result is 'unknown' once total reaches the budget.  A
     'no' at a k where ceiling(k) holds contradicts a proven upper bound and is
-    raised as a defect."""
+    raised as a defect.  shape is g's _shape, shared by every decision."""
     while total < budget.max_nodes:
-        dec = _decide(g, k, SearchBudget(budget.max_nodes - total), graceful)
+        dec = _decide(g, k, SearchBudget(budget.max_nodes - total), graceful, shape)
         total += dec.nodes
         if dec.status == "yes":
             return OptimumResult("ok", k, dec.coloring, total)
@@ -278,10 +329,14 @@ def distance_two_chromatic_number(g: Graph,
     """chi(G^2) by upward iteration from the trivial lower bound
     max_v d(v) + 1 (a vertex and its neighbours are mutually constrained).
     n colors always suffice."""
+    return _distance_two_number(g, budget, _shape(g))
+
+
+def _distance_two_number(g: Graph, budget: SearchBudget, shape: Shape) -> OptimumResult:
     if g.n == 0:
         return OptimumResult("ok", 0, None, 0)
     start = max(g.degree(v) for v in range(g.n)) + 1
-    return _least_k(g, start, budget, 0, False, lambda k: k >= g.n)
+    return _least_k(g, start, budget, 0, False, lambda k: k >= g.n, shape)
 
 
 def graceful_chromatic_number(g: Graph,
@@ -294,12 +349,13 @@ def graceful_chromatic_number(g: Graph,
     not count: cold, a(20) takes a few seconds."""
     if g.n == 0:
         return OptimumResult("ok", 0, None, 0)
-    lower = distance_two_chromatic_number(g, budget)
+    shape = _shape(g)
+    lower = _distance_two_number(g, budget, shape)
     if lower.status != "ok":
         return OptimumResult("unknown", None, None, lower.nodes)
     q = lower.value
     return _least_k(g, q, budget, lower.nodes, True,
-                    lambda k: q <= MAX_N and k >= a_of_n(q)[0])
+                    lambda k: q <= MAX_N and k >= a_of_n(q)[0], shape)
 
 
 # ---------------------------------------------------------------------------

@@ -159,6 +159,20 @@ def test_input_error_exit_code(capsys, tmp_path):
     assert "error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["decide", "--k", "five", "g.g6"], ["gen", "wheel", "5"], ["an"],
+])
+def test_usage_error_exit_code(capsys, argv):
+    # argparse's own exit code 2 would read as undecided
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 1
+    assert f"graceful {argv[0]}: error: " in capsys.readouterr().err
+    with pytest.raises(SystemExit) as exc:
+        main([argv[0], "--help"])
+    assert exc.value.code == 0
+
+
 def test_unknown_exit_code(capsys, tmp_path):
     p = tmp_path / "k6.txt"
     from graceful import complete_graph, write_edge_list

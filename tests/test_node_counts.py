@@ -7,7 +7,9 @@ means to alter the order must say so and update the pins.
 The native search branches on the vertex with the fewest allowed colors,
 then the most wipeouts so far (dom/wdeg), then the highest degree, then
 the lowest index; the reduced NAE-3SAT-E4 pins are the ones that rule
-moves most."""
+moves most.  Graceful search also colors each class of twins in increasing
+order, which moves the counts of graphs with twins only: the complete
+graphs here, not the reduced NAE-3SAT-E4, cubic, Petersen or Q_3 pins."""
 
 import pytest
 
@@ -97,6 +99,19 @@ def test_chromatic_numbers(g, chi2, chig):
     assert (res.status, res.value, res.nodes) == ("ok", *chi2)
     res = graceful_chromatic_number(g)
     assert (res.status, res.value, res.nodes) == ("ok", *chig)
+
+
+# chi_g(K_q) = a(q).  All of K_q is one twin class, colored in increasing
+# order; with the reflection cap alone, K_8 ran past 50,000 nodes.  The
+# distance-two search breaks no twin symmetry: chi(K_q^2) = q in q nodes.
+@pytest.mark.parametrize("q, value, nodes", [
+    (5, 9, 127), (6, 11, 283), (7, 13, 629), (8, 14, 664), (9, 20, 9891),
+])
+def test_complete_graphs(q, value, nodes):
+    res = distance_two_chromatic_number(complete_graph(q))
+    assert (res.status, res.value, res.nodes) == ("ok", q, q)
+    res = graceful_chromatic_number(complete_graph(q))
+    assert (res.status, res.value, res.nodes) == ("ok", value, nodes)
 
 
 @pytest.mark.parametrize("make, count", [(variable_gadget, 16), (clause_gadget, 48)])

@@ -6,7 +6,8 @@ from itertools import product
 import pytest
 
 from graceful import (Graph, SearchBudget, VertexColoring, bounds,
-                      complete_graph, cycle_graph, distance_two_chromatic_number,
+                      complete_bipartite, complete_graph, cycle_graph,
+                      distance_two_chromatic_number,
                       distance_two_k_colorable, enumerate_graceful_colorings,
                       gnp_graph, graceful_chromatic_number, graceful_k_colorable,
                       graceful_k_colorable_bruteforce, hypercube_graph,
@@ -95,6 +96,64 @@ def test_solver_matches_bruteforce():
             slow = any(is_distance_two_coloring(g, VertexColoring(c, k))[0]
                        for c in product(range(1, k + 1), repeat=n))
             assert fast == ("yes" if slow else "no"), (n, k, i)
+
+
+def _graceful_exhaustive(g, k):
+    """Whether g has a graceful k-coloring, by extending colorings of the
+    induced subgraphs g[0..j-1] one vertex at a time through the verifier.
+    A graceful coloring restricts to one of every induced subgraph, so this
+    drops no prefix that could be extended; unlike the solver, it breaks no
+    symmetry."""
+    prefix = [Graph.from_edges(j, [(u, v) for u, v in g.edges() if v < j])
+              for j in range(g.n + 1)]
+    stack = [()]
+    while stack:
+        f = stack.pop()
+        if len(f) == g.n:
+            return True
+        for c in range(1, k + 1):
+            h = f + (c,)
+            if is_graceful_coloring(prefix[len(h)], VertexColoring(h, k))[0]:
+                stack.append(h)
+    return False
+
+
+TWIN_RICH = ([star_graph(m) for m in range(1, 7)]
+             + [complete_bipartite(a, b) for a in (2, 3) for b in range(a, 8 - a)]
+             + [complete_graph(q) for q in range(2, 8)]
+             + [path_graph(3), cycle_graph(4)]
+             # isolated vertices share N(v) = {} but may share a color too
+             + [Graph.from_edges(5, [(0, 1)]), Graph.from_edges(6, [(1, 2), (1, 3)])])
+
+
+def test_twin_order_matches_exhaustive_search():
+    # twins (same open or closed neighbourhood) are colored in increasing
+    # order by the symmetric search; the oracle breaks no symmetry
+    rng = SplitMix64(13)
+    graphs = TWIN_RICH + [gnp_graph(2 + rng.randint(6), 0.5, 1300 + i) for i in range(30)]
+    for g in graphs:
+        for k in range(1, 10):
+            expected = "yes" if _graceful_exhaustive(g, k) else "no"
+            assert graceful_k_colorable(g, k).status == expected, (g.edges(), k)
+
+
+def test_oracles_agree():
+    for g in TWIN_RICH[:3] + [complete_graph(3), path_graph(3), cycle_graph(4)]:
+        for k in range(1, 6):
+            assert (_graceful_exhaustive(g, k)
+                    == graceful_k_colorable_bruteforce(g, k).yes), (g.edges(), k)
+
+
+@pytest.mark.parametrize("g, k", [
+    (complete_graph(4), 7), (star_graph(4), 6), (complete_bipartite(2, 3), 7),
+    (path_graph(3), 5),
+])
+def test_enumeration_keeps_twin_symmetric_colorings(g, k):
+    # symmetric=False: every coloring, twins in either order
+    expected = [combo for combo in product(range(1, k + 1), repeat=g.n)
+                if is_graceful_coloring(g, VertexColoring(combo, k))[0]]
+    assert expected
+    assert [f.colors for f in enumerate_graceful_colorings(g, k)] == expected
 
 
 def test_enumeration_matches_bruteforce_count(fig1):
