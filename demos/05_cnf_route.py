@@ -4,7 +4,11 @@ Besides the native backtracking solver there is a CNF route: one boolean
 per (vertex, color), clause families for properness, distance-two pairs,
 and equal-difference path triples, decided by a small built-in CDCL solver
 (conflict-driven clause learning, whose nodes are its decisions) or by any
-external SAT solver fed the DIMACS text.  The two routes must always agree."""
+external SAT solver fed the DIMACS text.  The two routes must always agree.
+Three more families carry the native search's pruning rules: the degree
+bound, reflection at the root, and increasing twin classes.  They keep the
+formula satisfiable exactly when a graceful coloring exists, but its models
+are only the colorings that obey the rules."""
 
 from graceful import complete_graph, cycle_graph, graceful_k_colorable
 from graceful.cnf import (decode_model, encode_graceful, internal_sat,

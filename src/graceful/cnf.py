@@ -8,22 +8,46 @@ Variable x_{v,c} (id v*k + c) means vertex v gets color c.  Clause families:
   c: adjacent vertices differ, per color                    m * k
   d2: distance-two pairs differ, per color                  (m(G^2) - m(G)) * k
   d3: forbidden equal-difference triples on paths u-v-w     paths * T(k)
+  degree: -x_{v,c} where max(c-1, k-c) < d(v)               sum_v D(d(v))
+  reflection: -x_{r,c} for c > ceil(k/2)                    floor(k/2) (0 if n = 0)
+  twin: -x_{t_i,c} v -x_{t_j,c'} for i < j and c' < c       pairs * k(k-1)/2
 
 where paths = sum_v C(d(v),2) and T(k) counts ordered same-parity color
 pairs (cu, cw), cu != cw; the middle color is then forced to (cu+cw)/2.
-The cu == cw half of the path constraint is exactly family d2.
+The cu == cw half of the path constraint is exactly family d2.  D(d) =
+min(k, max(0, 2d - k)) counts the colors k-d+1..d, and pairs = sum of
+C(|t|, 2) over the twin classes t.
+
+Families a to d3 state that the coloring is graceful.  The last three are
+the rules the native search prunes with (see solve._colorings), given as
+clauses so that the CDCL solver need not rediscover them by search:
+  - degree: color c offers max(c-1, k-c) distinct difference labels, and a
+    vertex of degree d needs d of them.  Implied by a to d3.
+  - reflection: c -> k+1-c maps graceful colorings to graceful colorings,
+    so the root r, the lowest-index vertex of maximum degree, may be
+    capped at ceil(k/2).
+  - twin: each twin class t_1 < ... < t_m of solve._shape (vertices of
+    degree >= 1 with the same N(v) or the same N[v]) is colored increasingly.
+    Permuting a twin class is an automorphism (lex-leader symmetry
+    breaking; Crawford, Ginsberg, Luks & Roy, KR 1996).
+Twins have the same degree, so r is the lowest member of its class: reflect
+a coloring whose root is above ceil(k/2), then sort each class, which can
+only lower the root's color.  So the models are exactly the graceful
+k-colorings with f(r) <= ceil(k/2) and every twin class increasing, and the
+formula is satisfiable iff g has a graceful k-coloring.  A #SAT count of
+the formula counts that reduced set, not every graceful coloring.
 
 The solver below is conflict-driven clause learning (Zhang, Madigan,
 Moskewicz & Malik, ICCAD 2001; Een & Sorensson, SAT 2003) without restarts,
 saved phases or clause deletion, so it is deterministic and its one
 parameter is the node budget.  Each decision sets the smallest unassigned
 variable true and opens a level; unit propagation runs over per-literal
-implication lists for the binary clauses (families b, c and d2, most of an
-encoded formula) and two watched literals for the longer ones.  A conflict
-above level 0 is resolved back to its first unique implication point; the
-clause learnt is asserting, so the search undoes at least one level and
-sets the negated point true where the clause becomes a unit.  A conflict at
-level 0 proves the formula unsat.  Levels rise by one per decision and fall
+implication lists for the binary clauses (families b, c, d2 and twin,
+most of an encoded formula) and two watched literals for the longer ones.
+A conflict above level 0 is resolved back to its first unique implication
+point; the clause learnt is asserting, so the search undoes at least one
+level and sets the negated point true where the clause becomes a unit.  A
+conflict at level 0 proves the formula unsat.  Levels rise by one per decision and fall
 by at least one per conflict, so a search with d decisions meets at most
 d + 1 conflicts: the node budget, counted in decisions, bounds the work.
 """
@@ -31,12 +55,12 @@ d + 1 conflicts: the node budget, counted in decisions, bounds the work.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import chain
+from itertools import chain, combinations
 from typing import Sequence
 
 from .coloring import VertexColoring, is_graceful_coloring
-from .graph import Graph, square
-from .solve import SearchBudget
+from .graph import Graph
+from .solve import SearchBudget, Shape, _shape
 
 
 @dataclass
@@ -61,67 +85,72 @@ class CnfFormula:
 
 def predicted_clause_counts(g: Graph, k: int) -> dict[str, int]:
     """Closed-form clause counts per family; asserted against the encoder."""
-    n, m = g.n, g.m
-    paths = sum(g.degree(v) * (g.degree(v) - 1) // 2 for v in range(n))
+    return _predicted_counts(g, k, _shape(g))
+
+
+def _predicted_counts(g: Graph, k: int, shape: Shape) -> dict[str, int]:
+    near, twins = shape
+    degrees = [len(a) for a in g.adjacency]
+    paths = sum(d * (d - 1) // 2 for d in degrees)
     odd = (k + 1) // 2
     even = k // 2
-    t = odd * (odd - 1) + even * (even - 1)
+    pairs = k * (k - 1) // 2
+    twin_pairs = sum(len(t) * (len(t) - 1) // 2 for v, t in enumerate(twins)
+                     if t and t[0] == v)
     return {
-        "a": n,
-        "b": n * k * (k - 1) // 2,
-        "c": m * k,
-        "d2": (square(g).m - m) * k,
-        "d3": paths * t,
+        "a": g.n,
+        "b": g.n * pairs,
+        "c": g.m * k,
+        "d2": (sum(map(len, near)) // 2 - g.m) * k,
+        "d3": paths * (odd * (odd - 1) + even * (even - 1)),
+        "degree": sum(min(k, max(0, 2 * d - k)) for d in degrees),
+        "reflection": even if g.n else 0,
+        "twin": twin_pairs * pairs,
     }
 
 
 def encode_graceful(g: Graph, k: int) -> CnfFormula:
-    """CNF satisfiable iff g has a graceful k-coloring."""
+    """CNF whose models are the graceful k-colorings of g with the root at
+    most ceil(k/2) and every twin class increasing (see the module
+    docstring), so satisfiable iff g has a graceful k-coloring."""
     if k < 1:
         raise ValueError("k must be >= 1")
+    shape = _shape(g)
+    near, twins = shape
+    n, adj = g.n, g.adjacency
+    colors = range(1, k + 1)
     clauses: list[tuple[int, ...]] = []
-    counts = {"a": 0, "b": 0, "c": 0, "d2": 0, "d3": 0}
+    counts: dict[str, int] = {}
 
-    for v in range(g.n):
-        clauses.append(tuple(v * k + c for c in range(1, k + 1)))
-        counts["a"] += 1
-    for v in range(g.n):
-        for c1 in range(1, k + 1):
-            for c2 in range(c1 + 1, k + 1):
-                clauses.append((-(v * k + c1), -(v * k + c2)))
-                counts["b"] += 1
-    for u, v in g.edges():
-        for c in range(1, k + 1):
-            clauses.append((-(u * k + c), -(v * k + c)))
-            counts["c"] += 1
-    sq = square(g)
-    originals = set(g.edges())
-    for u, v in sq.edges():
-        if (u, v) in originals:
-            continue
-        for c in range(1, k + 1):
-            clauses.append((-(u * k + c), -(v * k + c)))
-            counts["d2"] += 1
+    def emit(family, new):
+        start = len(clauses)
+        clauses.extend(new)
+        counts[family] = len(clauses) - start
+
+    emit("a", (tuple(v * k + c for c in colors) for v in range(n)))
+    emit("b", ((-(v * k + c1), -(v * k + c2))
+               for v in range(n) for c1, c2 in combinations(colors, 2)))
+    emit("c", ((-(u * k + c), -(v * k + c)) for u, v in g.edges() for c in colors))
+    emit("d2", ((-(u * k + c), -(v * k + c)) for u in range(n)
+                for v in sorted(near[u]) if u < v and v not in adj[u] for c in colors))
     # equal-difference triples on paths u - mid - w with distinct endpoint colors
-    for mid in range(g.n):
-        nbrs = sorted(g.adjacency[mid])
-        for i in range(len(nbrs)):
-            for j in range(i + 1, len(nbrs)):
-                u, w = nbrs[i], nbrs[j]
-                for cu in range(1, k + 1):
-                    for cw in range(1, k + 1):
-                        if cu == cw or (cu + cw) % 2:
-                            continue
-                        cv = (cu + cw) // 2
-                        clauses.append((-(u * k + cu), -(mid * k + cv),
-                                        -(w * k + cw)))
-                        counts["d3"] += 1
+    emit("d3", ((-(u * k + cu), -(mid * k + (cu + cw) // 2), -(w * k + cw))
+                for mid in range(n) for u, w in combinations(sorted(adj[mid]), 2)
+                for cu in colors for cw in colors if cu != cw and not (cu + cw) % 2))
+    emit("degree", ((-(v * k + c),) for v in range(n) for c in colors
+                    if max(c - 1, k - c) < len(adj[v])))
+    root = max(range(n), key=lambda v: len(adj[v]), default=None)
+    emit("reflection", ((-(root * k + c),) for c in range((k + 1) // 2 + 1, k + 1))
+         if n else ())
+    emit("twin", ((-(ti * k + c), -(tj * k + c2))
+                  for v, t in enumerate(twins) if t and t[0] == v
+                  for ti, tj in combinations(t, 2)
+                  for c in colors for c2 in range(1, c)))
 
-    formula = CnfFormula(g.n * k, clauses, g, k, counts)
-    if counts != predicted_clause_counts(g, k):
-        raise AssertionError(
-            f"clause-count mismatch: {counts} vs {predicted_clause_counts(g, k)}")
-    return formula
+    predicted = _predicted_counts(g, k, shape)
+    if counts != predicted:
+        raise AssertionError(f"clause-count mismatch: {counts} vs {predicted}")
+    return CnfFormula(n * k, clauses, g, k, counts)
 
 
 def decode_model(formula: CnfFormula, model: Sequence[int]) -> VertexColoring:

@@ -182,10 +182,10 @@ def test_unknown_exit_code(capsys, tmp_path):
 
 
 def test_solve_unknown_reports_budget(capsys, tmp_path):
-    from graceful import gnp_graph, write_edge_list
-    p = tmp_path / "gnp.txt"
-    p.write_text(write_edge_list(gnp_graph(6, 0.8, 1)))
-    code, payload = run(capsys, "solve", "--k", "5", "--budget", "3", str(p))
+    from graceful import complete_graph, write_edge_list
+    p = tmp_path / "k6.txt"
+    p.write_text(write_edge_list(complete_graph(6)))
+    code, payload = run(capsys, "solve", "--k", "10", "--budget", "3", str(p))
     assert code == 2 and payload["answer"] == "unknown"
     assert payload["nodes_searched"] == 3
 

@@ -1,7 +1,8 @@
 import pytest
 
-from graceful import (SearchBudget, complete_graph, cubic_graph, gnp_graph,
-                      graceful_k_colorable, is_graceful_coloring)
+from graceful import (SearchBudget, complete_bipartite, complete_graph,
+                      cubic_graph, enumerate_graceful_colorings, gnp_graph,
+                      graceful_k_colorable, is_graceful_coloring, star_graph)
 from graceful.cnf import (CnfFormula, SatResult, decode_model,
                           encode_graceful, internal_sat, parse_solver_output,
                           predicted_clause_counts, write_dimacs)
@@ -36,12 +37,74 @@ def test_encode_k4_needs_five_colors():
 
 
 def test_clause_counts_match_closed_form():
-    for i in range(20):
-        g = gnp_graph(3 + i % 4, 0.5, 800 + i)
+    graphs = [gnp_graph(3 + i % 4, 0.5, 800 + i) for i in range(20)] + TWIN_RICH
+    for g in graphs:
         for k in (3, 4, 5):
             formula = encode_graceful(g, k)
             assert formula.family_counts == predicted_clause_counts(g, k)
             assert len(formula.clauses) == sum(formula.family_counts.values())
+    # K_4 at k = 5: degree 3 bans color 3 (max(2, 2) < 3) at each vertex, the
+    # root loses 4 and 5, and one class of four twins gives C(4, 2) vertex
+    # pairs times C(5, 2) color pairs
+    counts = encode_graceful(complete_graph(4), 5).family_counts
+    assert (counts["degree"], counts["reflection"], counts["twin"]) == (4, 2, 60)
+    assert list(counts) == ["a", "b", "c", "d2", "d3", "degree", "reflection", "twin"]
+
+
+# twin-rich graphs: a star's leaves, each side of K_{a,b} and all of K_q are
+# twin classes
+TWIN_RICH = ([star_graph(m) for m in range(1, 6)]
+             + [complete_bipartite(a, b) for a in (2, 3) for b in range(a, 5)]
+             + [complete_graph(q) for q in range(2, 6)])
+
+
+def _families(formula):
+    """The clauses of each family, by name."""
+    out, start = {}, 0
+    for name, count in formula.family_counts.items():
+        out[name] = formula.clauses[start:start + count]
+        start += count
+    return out
+
+
+def _satisfies(f, clauses):
+    """Whether coloring f satisfies every clause, x_{v,c} read as f(v) == c."""
+    true = {v * f.k + c for v, c in enumerate(f.colors)}
+    lits = {x if x in true else -x for x in range(1, len(f.colors) * f.k + 1)}
+    return all(not lits.isdisjoint(cl) for cl in clauses)
+
+
+def _soundness_cases():
+    rng = SplitMix64(5)
+    for i in range(30):
+        g = gnp_graph(2 + rng.randint(6), 0.5, 2000 + i)  # up to 7 vertices
+        for k in range(1, 6):
+            yield g, k
+    for g in TWIN_RICH:
+        for k in range(1, 8):
+            yield g, k
+    yield complete_graph(5), 8
+    yield complete_graph(5), 9  # a(5) = 9
+
+
+def test_families_hold_on_every_graceful_coloring():
+    # evaluated directly on the enumeration, with no SAT solver: families
+    # a-d3 state gracefulness and the degree units are implied by it
+    for g, k in _soundness_cases():
+        formula = _families(encode_graceful(g, k))
+        implied = [cl for name in ("a", "b", "c", "d2", "d3", "degree")
+                   for cl in formula[name]]
+        for f in enumerate_graceful_colorings(g, k):
+            assert _satisfies(f, implied), (g.edges(), k, f.colors)
+
+
+def test_symmetry_clauses_keep_one_coloring_per_class():
+    # reflection and twin order cut colorings, but some graceful coloring
+    # survives them exactly when there is one
+    for g, k in _soundness_cases():
+        clauses = encode_graceful(g, k).clauses
+        found = enumerate_graceful_colorings(g, k)
+        assert any(_satisfies(f, clauses) for f in found) == bool(found), (g.edges(), k)
 
 
 def test_equivalence_with_native_solver():
@@ -159,10 +222,10 @@ def test_internal_sat_needs_no_recursion():
 
 
 def test_internal_sat_budget():
-    formula = encode_graceful(gnp_graph(6, 0.8, 1), 5)
-    res = internal_sat(formula, SearchBudget(1))
+    formula = encode_graceful(complete_graph(6), 10)
+    res = internal_sat(formula, SearchBudget(3))
     # an undecided search reports exactly its budget, and a search that
     # needs exactly its budget still decides
-    assert (res.status, res.nodes) == ("unknown", 1)
+    assert (res.status, res.nodes) == ("unknown", 3)
     full = internal_sat(formula)
     assert internal_sat(formula, SearchBudget(full.nodes)) == full
