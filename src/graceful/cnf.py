@@ -21,15 +21,14 @@ C(|t|, 2) over the twin classes t.
 Families a to d3 state that the coloring is graceful.  The last three are
 the rules the native search prunes with (see solve._colorings), given as
 clauses so that the CDCL solver need not rediscover them by search:
-  - degree: color c offers max(c-1, k-c) distinct difference labels, and a
-    vertex of degree d needs d of them.  Implied by a to d3.
-  - reflection: c -> k+1-c maps graceful colorings to graceful colorings,
-    so the root r, the lowest-index vertex of maximum degree, may be
-    capped at ceil(k/2).
-  - twin: each twin class t_1 < ... < t_m of solve._shape (vertices of
-    degree >= 1 with the same N(v) or the same N[v]) is colored increasingly.
-    Permuting a twin class is an automorphism (lex-leader symmetry
-    breaking; Crawford, Ginsberg, Luks & Roy, KR 1996).
+  - degree and reflection: the bans of solve._graceful_bans, which the
+    native search starts from.  Degree bans a color c with
+    max(c-1, k-c) < d(v), and is implied by a to d3; reflection caps the
+    root r, the lowest-index vertex of maximum degree, at ceil(k/2).
+  - twin: each twin class t_1 < ... < t_m of Graph.twin_classes (vertices
+    of degree >= 1 with the same N(v) or the same N[v]) is colored
+    increasingly.  Permuting a twin class is an automorphism (lex-leader
+    symmetry breaking; Crawford, Ginsberg, Luks & Roy, KR 1996).
 Twins have the same degree, so r is the lowest member of its class: reflect
 a coloring whose root is above ceil(k/2), then sort each class, which can
 only lower the root's color.  So the models are exactly the graceful
@@ -60,7 +59,7 @@ from typing import Sequence
 
 from .coloring import VertexColoring, is_graceful_coloring
 from .graph import Graph
-from .solve import SearchBudget, Shape, _shape
+from .solve import SearchBudget, _graceful_bans
 
 
 @dataclass
@@ -85,23 +84,18 @@ class CnfFormula:
 
 def predicted_clause_counts(g: Graph, k: int) -> dict[str, int]:
     """Closed-form clause counts per family; asserted against the encoder."""
-    return _predicted_counts(g, k, _shape(g))
-
-
-def _predicted_counts(g: Graph, k: int, shape: Shape) -> dict[str, int]:
-    near, twins = shape
     degrees = [len(a) for a in g.adjacency]
     paths = sum(d * (d - 1) // 2 for d in degrees)
     odd = (k + 1) // 2
     even = k // 2
     pairs = k * (k - 1) // 2
-    twin_pairs = sum(len(t) * (len(t) - 1) // 2 for v, t in enumerate(twins)
+    twin_pairs = sum(len(t) * (len(t) - 1) // 2 for v, t in enumerate(g.twin_classes)
                      if t and t[0] == v)
     return {
         "a": g.n,
         "b": g.n * pairs,
         "c": g.m * k,
-        "d2": (sum(map(len, near)) // 2 - g.m) * k,
+        "d2": (sum(map(len, g.square_adjacency)) // 2 - g.m) * k,
         "d3": paths * (odd * (odd - 1) + even * (even - 1)),
         "degree": sum(min(k, max(0, 2 * d - k)) for d in degrees),
         "reflection": even if g.n else 0,
@@ -115,9 +109,7 @@ def encode_graceful(g: Graph, k: int) -> CnfFormula:
     docstring), so satisfiable iff g has a graceful k-coloring."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    shape = _shape(g)
-    near, twins = shape
-    n, adj = g.n, g.adjacency
+    n, adj, near = g.n, g.adjacency, g.square_adjacency
     colors = range(1, k + 1)
     clauses: list[tuple[int, ...]] = []
     counts: dict[str, int] = {}
@@ -132,22 +124,20 @@ def encode_graceful(g: Graph, k: int) -> CnfFormula:
                for v in range(n) for c1, c2 in combinations(colors, 2)))
     emit("c", ((-(u * k + c), -(v * k + c)) for u, v in g.edges() for c in colors))
     emit("d2", ((-(u * k + c), -(v * k + c)) for u in range(n)
-                for v in sorted(near[u]) if u < v and v not in adj[u] for c in colors))
+                for v in near[u] if u < v and v not in adj[u] for c in colors))
     # equal-difference triples on paths u - mid - w with distinct endpoint colors
     emit("d3", ((-(u * k + cu), -(mid * k + (cu + cw) // 2), -(w * k + cw))
                 for mid in range(n) for u, w in combinations(sorted(adj[mid]), 2)
                 for cu in colors for cw in colors if cu != cw and not (cu + cw) % 2))
-    emit("degree", ((-(v * k + c),) for v in range(n) for c in colors
-                    if max(c - 1, k - c) < len(adj[v])))
-    root = max(range(n), key=lambda v: len(adj[v]), default=None)
-    emit("reflection", ((-(root * k + c),) for c in range((k + 1) // 2 + 1, k + 1))
-         if n else ())
+    degree, reflection = _graceful_bans(g, k)
+    emit("degree", ((-(v * k + c),) for v, c in degree))
+    emit("reflection", ((-(v * k + c),) for v, c in reflection))
     emit("twin", ((-(ti * k + c), -(tj * k + c2))
-                  for v, t in enumerate(twins) if t and t[0] == v
+                  for v, t in enumerate(g.twin_classes) if t and t[0] == v
                   for ti, tj in combinations(t, 2)
                   for c in colors for c2 in range(1, c)))
 
-    predicted = _predicted_counts(g, k, shape)
+    predicted = predicted_clause_counts(g, k)
     if counts != predicted:
         raise AssertionError(f"clause-count mismatch: {counts} vs {predicted}")
     return CnfFormula(n * k, clauses, g, k, counts)

@@ -10,6 +10,7 @@ from __future__ import annotations
 import heapq
 from collections import deque
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Sequence
 
 
@@ -19,7 +20,10 @@ class GraphFormatError(ValueError):
 
 @dataclass(frozen=True)
 class Graph:
-    """Simple undirected graph on vertices 0..n-1 with adjacency sets."""
+    """Simple undirected graph on vertices 0..n-1 with adjacency sets.
+
+    G^2 and the twin classes are computed on first use and cached on the
+    object; equality and hashing read only n and adjacency."""
 
     n: int
     adjacency: tuple[frozenset[int], ...]
@@ -55,6 +59,35 @@ class Graph:
     def has_edge(self, u: int, v: int) -> bool:
         return v in self.adjacency[u]
 
+    @cached_property
+    def square_adjacency(self) -> tuple[tuple[int, ...], ...]:
+        """Adjacency of G^2: for each vertex, the vertices at distance 1 or 2
+        in increasing order.  Tuples, not frozensets: the cache lives as long
+        as the graph, and a tuple of ints takes a fraction of the memory."""
+        adj = self.adjacency
+        return tuple(tuple(sorted(a.union(*(adj[u] for u in a)) - {v}))
+                     for v, a in enumerate(adj))
+
+    @cached_property
+    def twin_classes(self) -> tuple[tuple[int, ...], ...]:
+        """For each vertex its twin class in increasing order, itself
+        included, or () if it has no twin.  Twins are vertices of degree
+        >= 1 with the same open neighbourhood N(v) or the same closed one
+        N[v]; no vertex has twins of both kinds, and no open neighbourhood
+        equals a closed one, so one dict of frozensets finds both."""
+        classes: dict[frozenset[int], list[int]] = {}
+        for v, a in enumerate(self.adjacency):
+            if a:
+                classes.setdefault(a, []).append(v)
+                classes.setdefault(a | {v}, []).append(v)
+        twins: list[tuple[int, ...]] = [()] * self.n
+        for members in classes.values():
+            if len(members) > 1:
+                members = tuple(members)
+                for v in members:
+                    twins[v] = members
+        return tuple(twins)
+
 
 # ---------------------------------------------------------------------------
 # graph6 (nauty's formats.txt): n in one byte for n <= 62, or '~' and three
@@ -70,10 +103,10 @@ def parse_graph6(text: str) -> Graph:
     Errors report the byte offset of the offending character.
     """
     s = text.strip()
-    if not s:
-        raise GraphFormatError("empty graph6 string")
     if s.startswith(">>graph6<<"):
         s = s[len(">>graph6<<"):]
+    if not s:
+        raise GraphFormatError("empty graph6 string")
     header = range(1)
     if s[0] == "~":
         if s[1:2] == "~":
@@ -181,13 +214,7 @@ def write_edge_list(g: Graph) -> str:
 
 def square(g: Graph) -> Graph:
     """G^2: same vertices, edges between all pairs at distance 1 or 2."""
-    edges = set(g.edges())
-    for v in range(g.n):
-        nbrs = sorted(g.adjacency[v])
-        for i in range(len(nbrs)):
-            for j in range(i + 1, len(nbrs)):
-                edges.add((nbrs[i], nbrs[j]))
-    return Graph.from_edges(g.n, sorted(edges))
+    return Graph(g.n, tuple(map(frozenset, g.square_adjacency)))
 
 
 def degeneracy(g: Graph) -> tuple[int, list[int]]:

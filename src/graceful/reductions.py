@@ -23,8 +23,9 @@ from typing import Callable
 
 from .coloring import VertexColoring, is_distance_two_coloring, is_graceful_coloring
 from .graph import Graph, structural_report
-from .solve import (Decision, SearchBudget, distance_two_k_colorable,
-                    enumerate_graceful_colorings, graceful_k_colorable)
+from .solve import (Decision, SearchBudget, UndecidedError,
+                    distance_two_k_colorable, enumerate_graceful_colorings,
+                    graceful_k_colorable)
 
 
 # ---------------------------------------------------------------------------
@@ -192,10 +193,13 @@ def smallest_e4_instance() -> NaeFormula:
     return NaeFormula.make(3, [(0, 1, 2)] * 4)
 
 
+_BRUTE_FORCE_MAX_VARS = 24
+
+
 def brute_force_nae(phi: NaeFormula):
     """Exhaustive truth-table search.  Returns an assignment tuple or None."""
-    if phi.num_vars > 24:
-        raise ValueError("brute force limited to 24 variables")
+    if phi.num_vars > _BRUTE_FORCE_MAX_VARS:
+        raise ValueError(f"brute force limited to {_BRUTE_FORCE_MAX_VARS} variables")
     for bits in product((True, False), repeat=phi.num_vars):
         if all(any(bits[x] for x in cl) and not all(bits[x] for x in cl)
                for cl in phi.clauses):
@@ -422,7 +426,11 @@ def extract_assignment(out: ReductionOutput, f: VertexColoring) -> tuple[bool, .
 def check_nae_reduction(phi: NaeFormula,
                         budget: SearchBudget = SearchBudget()) -> ConsistencyResult:
     """Compare brute-force NAE satisfiability against graceful
-    4-colorability of the reduced graph."""
+    4-colorability of the reduced graph; UndecidedError, before any work,
+    beyond the brute-force limit."""
+    if phi.num_vars > _BRUTE_FORCE_MAX_VARS:
+        raise UndecidedError(f"{phi.num_vars} variables: the brute-force NAE check "
+                             f"is limited to {_BRUTE_FORCE_MAX_VARS}")
     sat = brute_force_nae(phi)
     out = nae_reduce(phi)
     dec = graceful_k_colorable(out.graph, 4, budget)

@@ -13,7 +13,7 @@ from itertools import product
 from typing import Callable, Iterator
 
 from .coloring import VertexColoring, is_distance_two_coloring, is_graceful_coloring
-from .graph import Graph, square
+from .graph import Graph
 from .sequences import MAX_N, a_of_n
 
 DEFAULT_BUDGET = 10 ** 7
@@ -63,33 +63,23 @@ class InternalConsistencyError(AssertionError):
 # difference labels are also distinct at every vertex, so one depth-first
 # search decides both; `graceful` switches the label check on.
 
-Shape = tuple[tuple[frozenset[int], ...], list[tuple[int, ...]]]
-
-
-def _shape(g: Graph) -> Shape:
-    """What the search needs of g besides g itself, computed once per graph:
-    the adjacency of G^2, and for each vertex its twin class in increasing
-    order (itself included), or () if it has no twin.  Twins are vertices of
-    degree >= 1 with the same open neighbourhood N(v) or the same closed one
-    N[v]; no vertex has twins of both kinds, and no open neighbourhood
-    equals a closed one, so one dict of frozensets finds both."""
-    classes: dict[frozenset[int], list[int]] = {}
-    for v, a in enumerate(g.adjacency):
-        if a:
-            classes.setdefault(a, []).append(v)
-            classes.setdefault(a | {v}, []).append(v)
-    twins: list[tuple[int, ...]] = [()] * g.n
-    for members in classes.values():
-        if len(members) > 1:
-            members = tuple(members)
-            for v in members:
-                twins[v] = members
-    return square(g).adjacency, twins
+def _graceful_bans(g: Graph, k: int) -> tuple[list[tuple[int, int]], list[tuple[int, int]]]:
+    """The (vertex, color) pairs ruled out before a graceful k-coloring
+    search, which it starts from and the CNF encoder emits as clauses:
+    degree, as color c offers max(c-1, k-c) distinct difference labels and
+    v needs d(v) of them; and reflection, capping the root r, the
+    lowest-index vertex of maximum degree, at ceil(k/2), as c -> k+1-c maps
+    graceful colorings to graceful colorings."""
+    adj = g.adjacency
+    degree = [(v, c) for v in range(g.n) for c in range(1, k + 1)
+              if max(c - 1, k - c) < len(adj[v])]
+    root = max(range(g.n), key=lambda v: len(adj[v]), default=None)
+    reflection = [] if root is None else [(root, c) for c in range((k + 1) // 2 + 1, k + 1)]
+    return degree, reflection
 
 
 def _colorings(g: Graph, k: int, budget: SearchBudget, tally: list[int],
-               graceful: bool, symmetric: bool,
-               shape: Shape) -> Iterator[tuple[int, ...]]:
+               graceful: bool, symmetric: bool) -> Iterator[tuple[int, ...]]:
     """Yield k-colorings of g in depth-first order, counting search nodes in
     tally[0] and raising UndecidedError, with tally[0] at the budget, when
     one more node would exceed it.
@@ -104,25 +94,24 @@ def _colorings(g: Graph, k: int, budget: SearchBudget, tally: list[int],
     this turns searches of 10^5 nodes and more into a few thousand.
     With symmetric, one coloring per symmetry class survives.  Distance-two
     search opens at most one new color per node (color interchange).
-    Graceful search keeps two rules:
-      - twin order: each twin class (see _shape) is colored increasingly in
-        vertex index.  Any permutation of a twin class is an automorphism,
-        and twins lie within distance two, so their colors differ and every
-        graceful coloring can be sorted into this order (lex-leader symmetry
-        breaking; Crawford, Ginsberg, Luks & Roy, KR 1996).  When a twin
-        takes color c, its uncolored later twins ban 1..c-1 and its
-        uncolored earlier twins ban c+1..k.
-      - reflection: the root vertex is capped at ceil(k/2), since
-        c -> k+1-c maps graceful colorings to graceful colorings.
-    Together they stay complete when the root is the lowest-index member of
-    its class: reflect a coloring if its root is above ceil(k/2), then sort
-    each class, which can only lower the root's color.  That always holds,
-    as twins have the same degree and so tie on every key but the index when
-    the root is picked; the cap is skipped if it ever did not.  The twin
-    rule is graceful only: the distance-two cap is a rule on color values
-    (value precedence), and a vertex order combined with it is not sound in
-    general, nor proven sound for this search.  Without symmetric no rule
-    applies, and every coloring is found.
+    Graceful search starts from the degree bans of _graceful_bans, which
+    every graceful coloring obeys, and with symmetric keeps two rules:
+      - twin order: each twin class (see Graph.twin_classes) is colored
+        increasingly in vertex index.  Any permutation of a twin class is an
+        automorphism, and twins lie within distance two, so their colors
+        differ and every graceful coloring can be sorted into this order
+        (lex-leader symmetry breaking; Crawford, Ginsberg, Luks & Roy, KR
+        1996).  When a twin takes color c, its uncolored later twins ban
+        1..c-1 and its uncolored earlier twins ban c+1..k.
+      - reflection: the reflection bans of _graceful_bans.
+    Together they stay complete, as the root r is the lowest-index member
+    of its twin class (twins have the same degree): reflect a coloring if
+    f(r) > ceil(k/2), then sort each class, which can only lower f(r).
+    Neither rule depends on the branching order.  The twin rule is graceful
+    only: the distance-two cap is a rule on color values (value precedence),
+    and a vertex order combined with it is not sound in general, nor proven
+    sound for this search.  Without symmetric neither rule applies, and
+    every coloring is found.
 
     The allowed colors are kept, not recomputed: ban[v*K + c] counts the
     colored structures that forbid color c at the uncolored vertex v, every
@@ -131,21 +120,15 @@ def _colorings(g: Graph, k: int, budget: SearchBudget, tally: list[int],
     a vertex's counts are exact again once the frames below it are undone."""
     n = g.n
     adj = g.adjacency
-    near, twins = shape
-    if not (graceful and symmetric):
-        twins = [()] * n
+    near = g.square_adjacency
+    twins = g.twin_classes if graceful and symmetric else [()] * n
     K = k + 1
     ban = [0] * (n * K)
     if graceful:
-        # color c offers max(c-1, k-c) distinct difference labels; a vertex of
-        # degree d needs d of them, so the other colors are banned for good
-        degree = [len(a) for a in adj]
-        for v in range(n):
-            for c in range(1, K):
-                if max(c - 1, k - c) < degree[v]:
-                    ban[v * K + c] = 1
-    else:
-        degree = [len(a) for a in near]
+        degree_bans, reflection = _graceful_bans(g, k)
+        for v, c in degree_bans + (reflection if symmetric else []):
+            ban[v * K + c] = 1
+    degree = [len(a) for a in (adj if graceful else near)]
     # score packs (allowed colors, -weight, -degree, index) into one integer,
     # so that min(score) % n is the branching vertex; colored vertices carry
     # COLORED on top and are never chosen.  A wipeout pick follows a counted
@@ -209,7 +192,7 @@ def _colorings(g: Graph, k: int, budget: SearchBudget, tally: list[int],
                 score[i // K] += unit
         del trail[mark:]
 
-    def branch(max_used: int):  # max_used is 0 only at the root
+    def branch(max_used: int):
         best = min(score, default=COLORED)
         if best >= COLORED:
             return None
@@ -217,13 +200,7 @@ def _colorings(g: Graph, k: int, budget: SearchBudget, tally: list[int],
         if best < unit:
             score[v] -= heavier
         score[v] += COLORED
-        if not symmetric:
-            cap = k
-        elif graceful:
-            lowest = not twins[v] or twins[v][0] == v
-            cap = (k + 1) // 2 if max_used == 0 and lowest else k
-        else:
-            cap = min(max_used + 1, k)
+        cap = min(max_used + 1, k) if symmetric and not graceful else k
         colors = [c for c in range(1, cap + 1) if not ban[v * K + c]]
         return v, iter(colors), max_used, len(trail)
 
@@ -253,13 +230,12 @@ def _colorings(g: Graph, k: int, budget: SearchBudget, tally: list[int],
             stack.append(frame)
 
 
-def _decide(g: Graph, k: int, budget: SearchBudget, graceful: bool,
-            shape: Shape) -> Decision:
+def _decide(g: Graph, k: int, budget: SearchBudget, graceful: bool) -> Decision:
     if k < 1:
         raise ValueError("k must be >= 1")
     tally = [0]
     try:
-        sol = next(_colorings(g, k, budget, tally, graceful, True, shape), None)
+        sol = next(_colorings(g, k, budget, tally, graceful, True), None)
     except UndecidedError:
         return Decision("unknown", None, tally[0])
     if sol is None:
@@ -274,13 +250,13 @@ def _decide(g: Graph, k: int, budget: SearchBudget, graceful: bool,
 def graceful_k_colorable(g: Graph, k: int,
                          budget: SearchBudget = SearchBudget()) -> Decision:
     """Exact decision: does g admit a graceful coloring with palette 1..k?"""
-    return _decide(g, k, budget, True, _shape(g))
+    return _decide(g, k, budget, True)
 
 
 def distance_two_k_colorable(g: Graph, k: int,
                              budget: SearchBudget = SearchBudget()) -> Decision:
     """Exact decision: is g^2 properly k-colorable?"""
-    return _decide(g, k, budget, False, _shape(g))
+    return _decide(g, k, budget, False)
 
 
 def enumerate_graceful_colorings(g: Graph, k: int,
@@ -288,7 +264,7 @@ def enumerate_graceful_colorings(g: Graph, k: int,
     """ALL graceful k-colorings of g, no symmetry breaking.  Raises
     UndecidedError on budget exhaustion since a partial enumeration
     certifies nothing."""
-    found = sorted(_colorings(g, k, budget, [0], True, False, _shape(g)))
+    found = sorted(_colorings(g, k, budget, [0], True, False))
     return [VertexColoring(t, k) for t in found]
 
 
@@ -305,14 +281,14 @@ def graceful_k_colorable_bruteforce(g: Graph, k: int) -> Decision:
 # Chromatic-number iterations
 
 def _least_k(g: Graph, k: int, budget: SearchBudget, total: int, graceful: bool,
-             ceiling: Callable[[int], bool], shape: Shape) -> OptimumResult:
+             ceiling: Callable[[int], bool]) -> OptimumResult:
     """The least k' >= k with a coloring, deciding k, k+1, ... in turn and
     adding each decision's nodes to total.  Each decision gets what is left of
     the budget, and the result is 'unknown' once total reaches the budget.  A
     'no' at a k where ceiling(k) holds contradicts a proven upper bound and is
-    raised as a defect.  shape is g's _shape, shared by every decision."""
+    raised as a defect."""
     while total < budget.max_nodes:
-        dec = _decide(g, k, SearchBudget(budget.max_nodes - total), graceful, shape)
+        dec = _decide(g, k, SearchBudget(budget.max_nodes - total), graceful)
         total += dec.nodes
         if dec.status == "yes":
             return OptimumResult("ok", k, dec.coloring, total)
@@ -329,14 +305,10 @@ def distance_two_chromatic_number(g: Graph,
     """chi(G^2) by upward iteration from the trivial lower bound
     max_v d(v) + 1 (a vertex and its neighbours are mutually constrained).
     n colors always suffice."""
-    return _distance_two_number(g, budget, _shape(g))
-
-
-def _distance_two_number(g: Graph, budget: SearchBudget, shape: Shape) -> OptimumResult:
     if g.n == 0:
         return OptimumResult("ok", 0, None, 0)
     start = max(g.degree(v) for v in range(g.n)) + 1
-    return _least_k(g, start, budget, 0, False, lambda k: k >= g.n, shape)
+    return _least_k(g, start, budget, 0, False, lambda k: k >= g.n)
 
 
 def graceful_chromatic_number(g: Graph,
@@ -349,13 +321,12 @@ def graceful_chromatic_number(g: Graph,
     not count: cold, a(20) takes a few seconds."""
     if g.n == 0:
         return OptimumResult("ok", 0, None, 0)
-    shape = _shape(g)
-    lower = _distance_two_number(g, budget, shape)
+    lower = distance_two_chromatic_number(g, budget)
     if lower.status != "ok":
         return OptimumResult("unknown", None, None, lower.nodes)
     q = lower.value
     return _least_k(g, q, budget, lower.nodes, True,
-                    lambda k: q <= MAX_N and k >= a_of_n(q)[0], shape)
+                    lambda k: q <= MAX_N and k >= a_of_n(q)[0])
 
 
 # ---------------------------------------------------------------------------

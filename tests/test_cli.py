@@ -223,6 +223,16 @@ def test_gen_wrong_parameter_count(params, names):
     assert f"({names})" in proc.stderr
 
 
+def test_graph6_header_alone_on_stdin_is_input_error():
+    src = os.path.dirname(os.path.dirname(graceful.__file__))
+    proc = subprocess.run([sys.executable, "-m", "graceful.cli", "chig", "-"],
+                          input=">>graph6<<\n", capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src})
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr == "error: empty graph6 string\n"
+
+
 def test_gen_long_form_graph6(capsys):
     code, payload = run(capsys, "gen", "cubic", "64", "1")
     assert code == 0 and payload["n"] == 64 and payload["graph6"][0] == "~"
@@ -246,6 +256,15 @@ def test_check_nae_nine_variables_is_undecided(capsys, tmp_path):
     phi.write_text("p nae 9 12\n" + "".join(clauses))
     code, payload = run(capsys, "check", "nae", "--budget", "200", str(phi))
     assert code == 2 and payload["answer"] == "unknown"
+
+
+def test_check_nae_beyond_brute_force_limit_is_undecided(capsys, tmp_path):
+    # nine disjoint copies of the 3-variable instance: valid, and too many
+    # variables for the brute-force side of the check
+    phi = tmp_path / "phi27.nae"
+    clauses = [f"{a} {a + 1} {a + 2}\n" for a in range(1, 28, 3) for _ in range(4)]
+    phi.write_text("p nae 27 36\n" + "".join(clauses))
+    assert_undecided(capsys, "check", "nae", str(phi))
 
 
 def test_solve_external_unknown_verdict(capsys, tmp_path):

@@ -1,3 +1,5 @@
+from collections import deque
+
 import pytest
 
 from graceful import (Graph, GraphFormatError, complete_graph, cubic_graph,
@@ -6,11 +8,16 @@ from graceful import (Graph, GraphFormatError, complete_graph, cubic_graph,
                       star_graph, structural_report, write_graph6)
 from graceful.graph import SplitMix64, complete_bipartite
 from graceful.reductions import nae_reduce, smallest_e4_instance
+from graceful.solve import _graceful_bans
 
 
 def test_equality_and_hash_ignore_edge_order():
     a = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3)])
     b = Graph.from_edges(4, [(3, 2), (0, 1), (2, 1)])
+    assert a == b and hash(a) == hash(b)
+    # G^2 and the twin classes are cached on first use, and read by neither
+    assert a.square_adjacency is a.square_adjacency
+    assert a.twin_classes is a.twin_classes
     assert a == b and hash(a) == hash(b)
     assert a != Graph.from_edges(4, [(0, 1), (1, 2)])
 
@@ -52,7 +59,7 @@ def test_graph6_long_form_header():
     assert write_graph6(Graph.from_edges(62, []))[0] == chr(62 + 63)
 
 
-@pytest.mark.parametrize("bad", ["", "~??", "~~??????", "~?F" + chr(20),
+@pytest.mark.parametrize("bad", ["", ">>graph6<<", "~??", "~~??????", "~?F" + chr(20),
                                  "A", "A_x", chr(20) + "_"])
 def test_graph6_malformed(bad):
     with pytest.raises(GraphFormatError):
@@ -94,6 +101,68 @@ def test_square_contains_original():
         g = gnp_graph(7, 0.4, i)
         sq = square(g)
         assert set(g.edges()) <= set(sq.edges())
+
+
+def _fact_graphs():
+    """Seeded G(n, p), cubic graphs, the reduced e4-3 graph, stars, K_{a,b},
+    K_q and graphs with isolated vertices."""
+    graphs = [gnp_graph(n, p, seed) for n in (1, 6, 12, 25) for p in (0.1, 0.3, 0.7)
+              for seed in range(3)]
+    graphs += [cubic_graph(n, seed) for n in (8, 20) for seed in range(3)]
+    graphs.append(nae_reduce(smallest_e4_instance()).graph)
+    graphs += [star_graph(s) for s in (0, 1, 2, 5)]
+    graphs += [complete_bipartite(a, b) for a, b in ((1, 1), (2, 3), (3, 3), (1, 4))]
+    graphs += [complete_graph(q) for q in (0, 1, 2, 3, 6)]
+    graphs += [Graph.from_edges(5, [(0, 1)]),
+               Graph.from_edges(7, [(1, 2), (2, 3), (1, 3), (5, 6)])]
+    return graphs
+
+
+def _within_two(g, v):
+    """The vertices at BFS distance 1 or 2 from v."""
+    dist = {v: 0}
+    queue = deque([v])
+    while queue:
+        u = queue.popleft()
+        for w in g.adjacency[u]:
+            if w not in dist:
+                dist[w] = dist[u] + 1
+                queue.append(w)
+    return tuple(sorted(w for w, d in dist.items() if d in (1, 2)))
+
+
+def test_square_is_distance_one_or_two():
+    for g in _fact_graphs():
+        near = tuple(_within_two(g, v) for v in range(g.n))
+        assert g.square_adjacency == near
+        assert square(g) == Graph.from_edges(
+            g.n, [(u, v) for u in range(g.n) for v in near[u] if u < v])
+
+
+def test_twin_classes_match_pairwise_definition():
+    for g in _fact_graphs():
+        adj = g.adjacency
+
+        def twins(u, v):
+            return bool(adj[u]) and (adj[u] == adj[v] or adj[u] | {u} == adj[v] | {v})
+
+        for v in range(g.n):
+            expected = tuple(u for u in range(g.n) if u == v or twins(u, v))
+            assert g.twin_classes[v] == (expected if len(expected) > 1 else ())
+
+
+def test_reflection_root_is_lowest_of_its_twin_class():
+    # the premise of symmetry soundness: sorting each twin class after a
+    # reflection can only lower the root's color
+    for g in _fact_graphs():
+        _, reflection = _graceful_bans(g, 4)
+        if not g.n:
+            assert reflection == []
+            continue
+        assert [c for _, c in reflection] == [3, 4]
+        (root,) = {v for v, _ in reflection}
+        assert root == min(range(g.n), key=lambda v: (-g.degree(v), v))
+        assert g.twin_classes[root][:1] in ((), (root,))
 
 
 def test_degeneracy():
