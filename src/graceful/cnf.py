@@ -111,8 +111,10 @@ def encode_graceful(g: Graph, k: int) -> CnfFormula:
         raise ValueError("k must be >= 1")
     n, adj, near = g.n, g.adjacency, g.square_adjacency
     colors = range(1, k + 1)
-    clauses: list[tuple[int, ...]] = []
-    counts: dict[str, int] = {}
+    # emit fills an empty formula, so its clauses, well formed by construction,
+    # skip the checks CnfFormula runs on a caller's
+    formula = CnfFormula(n * k, [], g, k)
+    clauses, counts = formula.clauses, formula.family_counts
 
     def emit(family, new):
         start = len(clauses)
@@ -140,7 +142,7 @@ def encode_graceful(g: Graph, k: int) -> CnfFormula:
     predicted = predicted_clause_counts(g, k)
     if counts != predicted:
         raise AssertionError(f"clause-count mismatch: {counts} vs {predicted}")
-    return CnfFormula(n * k, clauses, g, k, counts)
+    return formula
 
 
 def decode_model(formula: CnfFormula, model: Sequence[int]) -> VertexColoring:

@@ -57,9 +57,9 @@ def induced_difference_labelling(g: Graph, f: VertexColoring) -> EdgeLabelling:
     return EdgeLabelling(tuple(abs(f[u] - f[v]) for u, v in g.edges()))
 
 
-def is_distance_two_coloring(g: Graph, f: VertexColoring) -> tuple[bool, Violation | None]:
-    """Proper coloring of G in which no two neighbours of a vertex share a
-    color, i.e. a proper coloring of G^2."""
+def _check(g: Graph, f: VertexColoring, kind: str, value) -> tuple[bool, Violation | None]:
+    """f is proper, and no two neighbours u of a vertex v share value(u, v);
+    a clash is reported as a Violation of this kind."""
     if len(f) != g.n:
         raise ValueError(f"coloring has {len(f)} entries for a {g.n}-vertex graph")
     for u, v in g.edges():
@@ -68,25 +68,20 @@ def is_distance_two_coloring(g: Graph, f: VertexColoring) -> tuple[bool, Violati
     for v in range(g.n):
         seen: dict[int, int] = {}
         for u in sorted(g.adjacency[v]):
-            if f[u] in seen:
-                return False, Violation("distance2", seen[f[u]], u, via=v)
-            seen[f[u]] = u
+            x = value(u, v)
+            if x in seen:
+                return False, Violation(kind, seen[x], u, via=v)
+            seen[x] = u
     return True, None
+
+
+def is_distance_two_coloring(g: Graph, f: VertexColoring) -> tuple[bool, Violation | None]:
+    """Proper coloring of G in which no two neighbours of a vertex share a
+    color, i.e. a proper coloring of G^2."""
+    return _check(g, f, "distance2", lambda u, v: f[u])
 
 
 def is_graceful_coloring(g: Graph, f: VertexColoring) -> tuple[bool, Violation | None]:
     """Proper coloring whose induced difference labelling is a proper edge
     coloring: edges sharing an endpoint carry distinct labels."""
-    if len(f) != g.n:
-        raise ValueError(f"coloring has {len(f)} entries for a {g.n}-vertex graph")
-    for u, v in g.edges():
-        if f[u] == f[v]:
-            return False, Violation("edge", u, v)
-    for v in range(g.n):
-        seen: dict[int, int] = {}
-        for u in sorted(g.adjacency[v]):
-            lab = abs(f[u] - f[v])
-            if lab in seen:
-                return False, Violation("label", seen[lab], u, via=v)
-            seen[lab] = u
-    return True, None
+    return _check(g, f, "label", lambda u, v: abs(f[u] - f[v]))

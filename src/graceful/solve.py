@@ -113,11 +113,15 @@ def _colorings(g: Graph, k: int, budget: SearchBudget, tally: list[int],
     sound for this search.  Without symmetric neither rule applies, and
     every coloring is found.
 
-    The allowed colors are kept, not recomputed: ban[v*K + c] counts the
-    colored structures that forbid color c at the uncolored vertex v, every
-    increment is logged on a trail, and a frame undoes the trail back to the
-    mark it took when it was opened.  Only uncolored vertices are updated, so
-    a vertex's counts are exact again once the frames below it are undone."""
+    The allowed colors are kept, not recomputed.  ban[v*K + c] flags color c
+    at the uncolored vertex v; forbid logs a flag on a trail only when it
+    sets it, and a frame undoes the trail back to the mark it took when it
+    was opened.  A repeat ban comes from the same frame or a deeper one and
+    so is undone no later than the first, and a vertex's flags are exact
+    again once the frames below it are undone.  dom[v] counts v's colors not
+    flagged; live[a] holds the uncolored vertices not yet picked with
+    dom == a, and branching takes the least key = (-weight, -degree, index)
+    in the first non-empty bucket, so a pick scans one bucket, not all n."""
     n = g.n
     adj = g.adjacency
     near = g.square_adjacency
@@ -129,26 +133,20 @@ def _colorings(g: Graph, k: int, budget: SearchBudget, tally: list[int],
         for v, c in degree_bans + (reflection if symmetric else []):
             ban[v * K + c] = 1
     degree = [len(a) for a in (adj if graceful else near)]
-    # score packs (allowed colors, -weight, -degree, index) into one integer,
-    # so that min(score) % n is the branching vertex; colored vertices carry
-    # COLORED on top and are never chosen.  A wipeout pick follows a counted
-    # node (or is the root), so a weight stays below budget + 2.
-    span = max(degree, default=0) + 1
-    heavier = span * n
-    unit = (budget.max_nodes + 2) * heavier
-    COLORED = K * unit
-    score = [sum(1 for c in range(1, K) if not ban[v * K + c]) * unit
-             + (budget.max_nodes + 1) * heavier + (span - 1 - degree[v]) * n + v
-             for v in range(n)]
+    key = [v - degree[v] * n for v in range(n)]  # minus n*n per wipeout: degree < n
+    dom = [K - 1 - sum(ban[v * K + 1:v * K + K]) for v in range(n)]
+    live = [{v for v in range(n) if dom[v] == a} for a in range(K)]
     col = [0] * n
     trail: list[int] = []
 
     def forbid(w: int, c: int) -> None:
         i = w * K + c
         if not ban[i]:
-            score[w] -= unit
-        ban[i] += 1
-        trail.append(i)
+            ban[i] = 1
+            trail.append(i)
+            live[dom[w]].remove(w)
+            dom[w] -= 1
+            live[dom[w]].add(w)
 
     def assign(v: int, c: int) -> None:
         col[v] = c
@@ -187,19 +185,21 @@ def _colorings(g: Graph, k: int, budget: SearchBudget, tally: list[int],
 
     def undo(mark: int) -> None:
         for i in trail[mark:]:
-            ban[i] -= 1
-            if not ban[i]:
-                score[i // K] += unit
+            ban[i] = 0
+            w = i // K
+            live[dom[w]].remove(w)
+            dom[w] += 1
+            live[dom[w]].add(w)
         del trail[mark:]
 
     def branch(max_used: int):
-        best = min(score, default=COLORED)
-        if best >= COLORED:
+        bucket = next(filter(None, live), None)
+        if bucket is None:
             return None
-        v = best % n
-        if best < unit:
-            score[v] -= heavier
-        score[v] += COLORED
+        v = min(bucket, key=key.__getitem__)
+        bucket.remove(v)
+        if bucket is live[0]:
+            key[v] -= n * n
         cap = min(max_used + 1, k) if symmetric and not graceful else k
         colors = [c for c in range(1, cap + 1) if not ban[v * K + c]]
         return v, iter(colors), max_used, len(trail)
@@ -216,7 +216,7 @@ def _colorings(g: Graph, k: int, budget: SearchBudget, tally: list[int],
         c = next(colors, None)
         if c is None:
             col[v] = 0
-            score[v] -= COLORED
+            live[dom[v]].add(v)
             stack.pop()
             continue
         if tally[0] == budget.max_nodes:

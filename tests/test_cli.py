@@ -1,3 +1,4 @@
+import io
 import json
 import os
 import subprocess
@@ -32,10 +33,9 @@ def test_an_zero_is_input_error(capsys):
     assert capsys.readouterr().err.startswith("error: ")
 
 
-def test_chig_stdin(capsys, monkeypatch, tmp_path):
-    p = tmp_path / "g.g6"
-    p.write_text("A_\n")
-    code, payload = run(capsys, "chig", str(p))
+def test_chig_stdin(capsys, monkeypatch):
+    monkeypatch.setattr(sys, "stdin", io.StringIO("A_\n"))
+    code, payload = run(capsys, "chig", "-")
     assert code == 0 and payload["value"] == 2
 
 

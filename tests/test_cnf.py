@@ -174,6 +174,14 @@ def test_formula_rejects_bad_literals():
     assert CnfFormula(2, [(1, 1, -2), (-2,)]).clauses == [(1, 1, -2), (-2,)]
 
 
+def test_encoded_formulas_pass_the_literal_checks():
+    # encode_graceful's output skips the checks above; rebuilding it through
+    # CnfFormula runs them
+    for g, k in _soundness_cases():
+        formula = encode_graceful(g, k)
+        assert CnfFormula(formula.num_vars, formula.clauses).clauses == formula.clauses
+
+
 def test_internal_sat_edges():
     assert internal_sat(CnfFormula(1, [(1,), (-1,)])).status == "unsat"
     res = internal_sat(CnfFormula(2, []))

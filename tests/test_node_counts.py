@@ -2,18 +2,20 @@
 from the branching order alone, so any change to the order in which the
 native search picks vertices and colors, or the CDCL solver picks,
 propagates and learns literals, or the clauses the encoder emits, changes
-some number here.  A change that
-means to alter the order must say so and update the pins.
+some number here.  A change to how the vertex is found that keeps the
+order, such as its data structure, moves none.  A change that means to
+alter the order must say so and update the pins.
 
 The native search branches on the vertex with the fewest allowed colors,
 then the most wipeouts so far (dom/wdeg), then the highest degree, then
 the lowest index; the reduced NAE-3SAT-E4 pins are the ones that rule
-moves most.  Graceful search also colors each class of twins in increasing
-order, which moves the counts of graphs with twins only: the complete
-graphs here, not the reduced NAE-3SAT-E4, cubic, Petersen or Q_3 pins.
-The CDCL pins are of formulas that carry the same three rules as clauses
-(degree, reflection and twin order; see graceful.cnf), which cut their
-refutations most: K_6 at k = 10 took 1,980 decisions without them."""
+moves most, from 252 vertices (six variables) to 756 (eighteen).  Graceful
+search also colors each class of twins in increasing order, which moves
+the counts of graphs with twins only: the complete graphs here, not the
+reduced NAE-3SAT-E4, cubic, Petersen or Q_3 pins.  The CDCL pins are of
+formulas that carry the same three rules as clauses (degree, reflection
+and twin order; see graceful.cnf), which cut their refutations most: K_6
+at k = 10 took 1,980 decisions without them."""
 
 import pytest
 
@@ -21,9 +23,9 @@ from graceful import (SearchBudget, complete_graph, cubic_graph,
                       distance_two_chromatic_number, graceful_chromatic_number,
                       graceful_k_colorable, hypercube_graph, petersen_graph)
 from graceful.cnf import decode_model, encode_graceful, internal_sat
-from graceful.reductions import (check_nae_reduction, clause_gadget, nae_reduce,
-                                 smallest_e4_instance, variable_gadget,
-                                 verify_gadget)
+from graceful.reductions import (NaeFormula, check_nae_reduction, clause_gadget,
+                                 nae_reduce, smallest_e4_instance,
+                                 variable_gadget, verify_gadget)
 
 
 def _decided(g, k, budget):
@@ -45,8 +47,19 @@ def test_reduced_e4_6(e4_6, i):
 
 def test_reduced_e4_6_full_decision(e4_6):
     g = nae_reduce(e4_6[0]).graph
-    # the budget sizes the weight field of the selection key, not the order
+    # a larger budget changes no node count, as the search stops at its first
+    # coloring and picks its vertices with no regard to the budget
     assert _decided(g, 4, 50000) == ("yes", 980)
+
+
+def test_reduced_e4_18_at_k4(e4_6):
+    # the three formulas side by side, on variables 0-5, 6-11 and 12-17, pin
+    # the selection on a 756-vertex graph, three times the size of each
+    phi = NaeFormula.make(18, [tuple(x + 6 * i for x in cl)
+                               for i, f in enumerate(e4_6) for cl in f.clauses])
+    g = nae_reduce(phi).graph
+    assert g.n == 756
+    assert _decided(g, 4, 10000) == ("yes", 7919)
 
 
 def test_reduced_e4_9_unsat_at_k4(e4_9_unsat):
