@@ -16,8 +16,7 @@ import sys
 
 from . import cnf, reductions, sequences, solve
 from .coloring import VertexColoring, is_distance_two_coloring, is_graceful_coloring
-from .graph import (Graph, GraphFormatError, generate, parse_edge_list,
-                    parse_graph6, structural_report, write_graph6)
+from .graph import Graph, generate, parse_edge_list, parse_graph6, write_graph6
 
 SCHEMA = 1
 
@@ -75,14 +74,17 @@ def cmd_chromatic(args) -> int:
     return EXIT_OK if res.status == "ok" else EXIT_UNKNOWN
 
 
+def emit_decision(dec: solve.Decision, k: int) -> int:
+    emit({"answer": dec.status, "k": k, "witness": _witness(dec.coloring),
+          "nodes_searched": dec.nodes})
+    return EXIT_OK if dec.status in ("yes", "no") else EXIT_UNKNOWN
+
+
 def cmd_decide(args) -> int:
     g = read_graph(args.graph)
     fn = (solve.distance_two_k_colorable if args.distance_two
           else solve.graceful_k_colorable)
-    dec = fn(g, args.k, _budget(args))
-    emit({"answer": dec.status, "k": args.k, "witness": _witness(dec.coloring),
-          "nodes_searched": dec.nodes})
-    return EXIT_OK if dec.status in ("yes", "no") else EXIT_UNKNOWN
+    return emit_decision(fn(g, args.k, _budget(args)), args.k)
 
 
 def cmd_verify(args) -> int:
@@ -112,9 +114,8 @@ def cmd_bounds(args) -> int:
 
 def cmd_gen(args) -> int:
     g = generate(args.kind, *args.params)
-    rep = structural_report(g)
     emit({"graph6": write_graph6(g), "n": g.n, "m": g.m,
-          "max_degree": rep.max_degree})
+          "max_degree": max(map(len, g.adjacency), default=0)})
     return EXIT_OK
 
 
@@ -218,6 +219,7 @@ def cmd_solve(args) -> int:
     else:
         res = cnf.internal_sat(formula, _budget(args))
         status, model, nodes = res.status, res.model, res.nodes
+    coloring = None
     if status == "sat":
         try:
             coloring = cnf.decode_model(formula, model)
@@ -226,15 +228,8 @@ def cmd_solve(args) -> int:
                 raise
             raise solve.UndecidedError(f"external solver exited with code {code} but its "
                                        f"model is not a coloring: {exc}") from None
-        emit({"answer": "yes", "k": args.k, "witness": list(coloring.colors),
-              "nodes_searched": nodes})
-        return EXIT_OK
-    if status == "unsat":
-        emit({"answer": "no", "k": args.k, "witness": None,
-              "nodes_searched": nodes})
-        return EXIT_OK
-    emit({"answer": "unknown", "k": args.k, "nodes_searched": nodes})
-    return EXIT_UNKNOWN
+    answer = {"sat": "yes", "unsat": "no"}.get(status, "unknown")
+    return emit_decision(solve.Decision(answer, coloring, nodes), args.k)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -334,7 +329,7 @@ def main(argv=None) -> int:
     except solve.UndecidedError as exc:
         print(f"undecided: {exc}", file=sys.stderr)
         return EXIT_UNKNOWN
-    except (GraphFormatError, ValueError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

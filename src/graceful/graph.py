@@ -192,10 +192,10 @@ def parse_edge_list(text: str) -> Graph:
             f"edge count mismatch: header says {m}, found {len(lines) - 1} lines")
     edges = []
     for ln in lines[1:]:
-        parts = ln.split()
-        if len(parts) != 2:
-            raise GraphFormatError(f"bad edge line {ln!r}")
-        u, v = int(parts[0]), int(parts[1])
+        try:
+            u, v = map(int, ln.split())
+        except ValueError:
+            raise GraphFormatError(f"bad edge line {ln!r}") from None
         edges.append((u, v))
     try:
         return Graph.from_edges(n, edges)

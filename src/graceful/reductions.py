@@ -28,6 +28,12 @@ from .solve import (Decision, SearchBudget, UndecidedError,
                     graceful_k_colorable)
 
 
+def _with_pendants(g: Graph, anchors) -> Graph:
+    """g with a new vertex g.n + i hung as a pendant on anchors[i]."""
+    edges = g.edges() + [(v, g.n + i) for i, v in enumerate(anchors)]
+    return Graph.from_edges(g.n + len(anchors), edges)
+
+
 # ---------------------------------------------------------------------------
 # Construction 1: leaves turn graceful k-colorability into distance-two
 # 4-colorability for cubic graphs.
@@ -41,12 +47,7 @@ def construction1(g: Graph, k: int) -> Graph:
         raise ValueError("k must be >= 5")
     if any(g.degree(v) != 3 for v in range(g.n)):
         raise ValueError("input must be 3-regular")
-    extra = k - 5
-    edges = list(g.edges())
-    for v in range(g.n):
-        for i in range(extra):
-            edges.append((v, g.n + v * extra + i))
-    return Graph.from_edges(g.n + g.n * extra, edges)
+    return _with_pendants(g, [v for v in range(g.n) for _ in range(k - 5)])
 
 
 def embed_palette(f: VertexColoring, k: int) -> VertexColoring:
@@ -305,31 +306,22 @@ def verify_gadget(spec: GadgetSpec,
 
     The free stub over-approximates any surrounding graph, so 'forall' rows
     certified here hold in every embedding."""
-    n = spec.graph.n
-    port_list = sorted(spec.ports.items())
-    edges = list(spec.graph.edges())
-    stub_of = {}
-    for i, (name, v) in enumerate(port_list):
-        stub_of[name] = n + i
-        edges.append((v, n + i))
-    aug = Graph.from_edges(n + len(port_list), edges)
+    names = sorted(spec.ports)
+    aug = _with_pendants(spec.graph, [spec.ports[name] for name in names])
     colorings = enumerate_graceful_colorings(aug, 4, budget)
+    stub = dict(zip(names, range(spec.graph.n, aug.n)))
+    views = [({name: f[v] for name, v in spec.ports.items()},
+              {name: f[stub[name]] for name in spec.ports}) for f in colorings]
 
     results = []
     for row in spec.behavior_table:
         if row.mode == "forall":
-            bad = None
-            for f in colorings:
-                pc = {name: f[v] for name, v in spec.ports.items()}
-                sc = {name: f[stub_of[name]] for name in spec.ports}
-                if not row.predicate(pc, sc):
-                    bad = f.colors
-                    break  # colorings are sorted: first failure is lex-min
+            # colorings are sorted: the first failure is lex-min
+            bad = next((f.colors for f, view in zip(colorings, views)
+                        if not row.predicate(*view)), None)
             results.append(RowResult(row.name, row.mode, bad is None, bad))
         elif row.mode == "exists":
-            hit = any(row.predicate({name: f[v] for name, v in spec.ports.items()},
-                                    {name: f[stub_of[name]] for name in spec.ports})
-                      for f in colorings)
+            hit = any(row.predicate(*view) for view in views)
             results.append(RowResult(row.name, row.mode, hit, None))
         else:
             raise ValueError(f"unknown row mode {row.mode!r}")
@@ -354,26 +346,21 @@ def nae_reduce(phi: NaeFormula) -> ReductionOutput:
     clause gadget, wiring ports along the variable-clause incidences."""
     vg = variable_gadget()
     cg = clause_gadget()
-    vg_names = {v: name for name, v in vg.ports.items()}
-    cg_names = {v: name for name, v in cg.ports.items()}
 
     edges: list[tuple[int, int]] = []
     provenance: dict[int, tuple[str, int, str]] = {}
-    var_offsets = []
-    for j in range(phi.num_vars):
-        off = j * vg.graph.n
-        var_offsets.append(off)
-        edges.extend((off + a, off + b) for a, b in vg.graph.edges())
-        for v in range(vg.graph.n):
-            provenance[off + v] = ("variable", j, vg_names.get(v, f"internal_{v}"))
-    base = phi.num_vars * vg.graph.n
-    clause_offsets = []
-    for i in range(len(phi.clauses)):
-        off = base + i * cg.graph.n
-        clause_offsets.append(off)
-        edges.extend((off + a, off + b) for a, b in cg.graph.edges())
-        for v in range(cg.graph.n):
-            provenance[off + v] = ("clause", i, cg_names.get(v, f"internal_{v}"))
+    blocks = [("variable", j, vg) for j in range(phi.num_vars)]
+    blocks += [("clause", i, cg) for i in range(len(phi.clauses))]
+    offsets = []
+    n = 0
+    for kind, index, spec in blocks:
+        offsets.append(n)
+        edges.extend((n + a, n + b) for a, b in spec.graph.edges())
+        roles = {v: name for name, v in spec.ports.items()}
+        for v in range(spec.graph.n):
+            provenance[n + v] = (kind, index, roles.get(v, f"internal_{v}"))
+        n += spec.graph.n
+    var_offsets, clause_offsets = offsets[:phi.num_vars], offsets[phi.num_vars:]
 
     port_order = [vg.ports[name] for name in ("x_l", "x_k", "x_m", "x_n")]
     anchor_order = [cg.ports[name] for name in ("c_1", "c_2", "c_3")]
@@ -389,7 +376,6 @@ def nae_reduce(phi: NaeFormula) -> ReductionOutput:
     if any(c != 4 for c in next_port):
         raise AssertionError("E4 invariant broken while wiring ports")
 
-    n = base + len(phi.clauses) * cg.graph.n
     g = Graph.from_edges(n, edges)
     var_ports = tuple(tuple(var_offsets[j] + p for p in port_order)
                       for j in range(phi.num_vars))

@@ -23,8 +23,8 @@ kind for large 3-free sets).
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
+from functools import cache
 from itertools import combinations
 from typing import Iterator
 
@@ -63,15 +63,6 @@ def is_ap_free(s) -> bool:
     return True
 
 
-class _Cache:
-    def __init__(self):
-        self.lock = threading.Lock()
-        self.values: dict[int, tuple[int, tuple[int, ...]]] = {}
-
-
-_cache = _Cache()
-
-
 def _ap_free_sets(n: int, k: int, spans: list[int]) -> Iterator[tuple[int, ...]]:
     """Every AP-free n-subset of {1..k} containing 1, in lexicographic
     order, given spans[t] = a(t) for t < n and k > a(n - 1).  A minimum-span
@@ -102,43 +93,34 @@ def _ap_free_sets(n: int, k: int, spans: list[int]) -> Iterator[tuple[int, ...]]
     return dfs(2, 0, 1 << k)
 
 
-def _optima(n: int) -> list[tuple[int, tuple[int, ...]]]:
-    """(a(t), lexicographically first witness) for t = 1..n, through the
-    memo.  They are found in order of t, since the search for a(t) is
-    bounded by a(1..t-1)."""
+@cache
+def _optimum(n: int) -> tuple[int, tuple[int, ...]]:
+    """a(n) and its lexicographically first witness, memoised.  The search
+    for a(n) is bounded by a(1..n-1), which it reads through this memo."""
     if n < 1:
         raise ValueError("n must be >= 1")
     if n > MAX_N:
         raise ValueError(f"n={n} exceeds limit {MAX_N}")
-    optima: list[tuple[int, tuple[int, ...]]] = []
-    spans = [0]
-    for t in range(1, n + 1):
-        with _cache.lock:
-            hit = _cache.values.get(t)
-        if hit is None:
-            k = spans[-1] + 1  # a is strictly increasing
-            while (wit := next(_ap_free_sets(t, k, spans), None)) is None:
-                k += 1
-            hit = (k, wit)
-            with _cache.lock:
-                _cache.values[t] = hit
-        optima.append(hit)
-        spans.append(hit[0])
-    return optima
+    spans = [0] + [_optimum(t)[0] for t in range(1, n)]
+    k = spans[-1] + 1  # a is strictly increasing
+    while (wit := next(_ap_free_sets(n, k, spans), None)) is None:
+        k += 1
+    return k, wit
 
 
 def a_of_n(n: int) -> tuple[int, ApFreeSet]:
     """Least span a(n) of an n-element AP-free subset of the positive
     integers, with the lexicographically first witness attaining it."""
-    value, wit = _optima(n)[-1]
+    value, wit = _optimum(n)
     return value, ApFreeSet(wit)
 
 
 def all_optimal_witnesses(n: int) -> list[ApFreeSet]:
     """Every AP-free n-subset of {1..a(n)} whose span is exactly a(n),
     in lexicographic order."""
-    spans = [0] + [value for value, _ in _optima(n)]
-    return [ApFreeSet(w) for w in _ap_free_sets(n, spans[n], spans)]
+    k, _ = _optimum(n)
+    spans = [0] + [_optimum(t)[0] for t in range(1, n)]
+    return [ApFreeSet(w) for w in _ap_free_sets(n, k, spans)]
 
 
 def a_of_n_bruteforce(n: int) -> int:

@@ -149,6 +149,9 @@ def test_reduce_and_check_nae(capsys, tmp_path):
 def test_gadget_verify(capsys):
     code, payload = run(capsys, "gadget", "verify", "clause")
     assert code == 0 and payload["certified"] is True
+    code, payload = run(capsys, "gadget", "verify", "variable")
+    assert code == 0 and payload["certified"] is True
+    assert payload["colorings_enumerated"] == 16
 
 
 def test_input_error_exit_code(capsys, tmp_path):
@@ -187,7 +190,7 @@ def test_solve_unknown_reports_budget(capsys, tmp_path):
     p.write_text(write_edge_list(complete_graph(6)))
     code, payload = run(capsys, "solve", "--k", "10", "--budget", "3", str(p))
     assert code == 2 and payload["answer"] == "unknown"
-    assert payload["nodes_searched"] == 3
+    assert payload["nodes_searched"] == 3 and payload["witness"] is None
 
 
 def test_decide_deep_path(capsys, tmp_path):
@@ -314,3 +317,44 @@ def test_solve_external_exit_code_verdicts(capsys, tmp_path):
     code, payload = run(capsys, "solve", "--k", "5", "--external",
                         "echo 's UNSATISFIABLE'; exit 20", str(g))
     assert code == 0 and payload["answer"] == "no"
+
+
+def write_graphs(tmp_path):
+    from graceful import cubic_graph, hypercube_graph, write_graph6
+    c12, q3 = tmp_path / "c12.g6", tmp_path / "q3.g6"
+    c12.write_text(write_graph6(cubic_graph(12, seed=3)) + "\n")
+    q3.write_text(write_graph6(hypercube_graph(3)) + "\n")
+    return str(c12), str(q3)
+
+
+def test_distance_two_commands(capsys, tmp_path):
+    c12, q3 = write_graphs(tmp_path)
+    code, payload = run(capsys, "chi2", c12)
+    assert code == 0 and payload["value"] == 6
+    code, payload = run(capsys, "decide", "--distance-two", "--k", "4", c12)
+    assert code == 0 and payload["answer"] == "no"
+    c = tmp_path / "c.json"
+    c.write_text("[1, 2, 3, 4, 4, 3, 2, 1]")
+    code, payload = run(capsys, "verify", "--check", "distance2", "--coloring", str(c), q3)
+    assert code == 0 and payload["answer"] == "valid"
+
+
+def test_construction1_commands(capsys, tmp_path):
+    c12, q3 = write_graphs(tmp_path)
+    code, payload = run(capsys, "reduce", "construction1", "--k", "7", c12)
+    assert code == 0 and (payload["n"], payload["m"]) == (36, 42)
+    code, payload = run(capsys, "check", "construction1", "--k", "6", c12)
+    assert code == 0 and payload["answer"] == "consistent"
+    assert (payload["distance_two_4"], payload["graceful_k"]) == ("no", "no")
+    code, payload = run(capsys, "check", "construction1", "--k", "6", q3)
+    assert code == 0 and payload["answer"] == "consistent"
+    assert (payload["distance_two_4"], payload["graceful_k"]) == ("yes", "yes")
+    assert payload["extension_palette"] == 6
+
+
+def test_encode_to_file(capsys, tmp_path):
+    _, q3 = write_graphs(tmp_path)
+    out = tmp_path / "q3.cnf"
+    code, payload = run(capsys, "encode", "--k", "5", "-o", str(out), q3)
+    assert code == 0 and (payload["vars"], payload["clauses"]) == (40, 410)
+    assert out.read_text().startswith("p cnf 40 410")

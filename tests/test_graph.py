@@ -76,6 +76,7 @@ def test_edge_list_parse():
     ("3 1\n0 0", "loop"),
     ("3 1\n0 5", "range"),
     ("3 2\n0 1", "mismatch"),
+    ("2 1\n0 x", "bad edge line"),
 ])
 def test_edge_list_errors(text, msg):
     with pytest.raises(GraphFormatError, match=msg):

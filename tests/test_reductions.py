@@ -43,6 +43,12 @@ def test_construction1_counts():
         assert out.m == g.m + g.n * (k - 5)
 
 
+def test_construction1_leaf_layout():
+    # the leaves of v are n + v(k-5) .. n + (v+1)(k-5) - 1
+    out = construction1(cubic_graph(8, seed=4), 7)
+    assert all(out.adjacency[8 + 2 * v + i] == {v} for v in range(8) for i in range(2))
+
+
 def test_construction1_rejects_non_cubic():
     with pytest.raises(ValueError, match="3-regular"):
         construction1(complete_graph(3), 5)
@@ -172,6 +178,18 @@ def test_verify_gadget_reports_counterexample():
     assert rep.rows[0].counterexample is not None
 
 
+def test_verify_gadget_stubs_follow_sorted_port_names():
+    # stub 3 hangs on port "a" (vertex 0) and stub 4 on "b" (vertex 2),
+    # whatever order the ports dict lists them in
+    g = Graph.from_edges(3, [(0, 1), (1, 2)])
+    spec = GadgetSpec(g, {"b": 2, "a": 0}, (
+        BehaviorRow("endpoints equal", "forall",
+                    lambda pc, sc: pc["a"] == pc["b"]),))
+    rep = verify_gadget(spec)
+    assert rep.rows[0].counterexample == (1, 2, 4, 3, 1)
+    assert rep.colorings_enumerated == 56
+
+
 def test_verify_gadget_has_no_size_cap():
     # two disjoint variable gadgets: 36 vertices, 8 ports, 44 with the stubs;
     # the node budget, not a vertex count, bounds the enumeration
@@ -203,6 +221,18 @@ def test_nae_reduce_structure():
     assert set(out.provenance) == set(range(out.graph.n))
     kinds = {p[0] for p in out.provenance.values()}
     assert kinds == {"variable", "clause"}
+
+
+def test_nae_reduce_layout():
+    # variable gadgets first, then clause gadgets, 18 vertices each
+    out = nae_reduce(smallest_e4_instance())
+    assert out.graph.n == 126
+    assert out.variable_ports == ((0, 1, 2, 3), (18, 19, 20, 21), (36, 37, 38, 39))
+    assert out.port_edges[:3] == ((0, 54), (18, 55), (36, 56))
+    for p, a in out.port_edges:
+        (pkind, _, prole), (akind, _, arole) = out.provenance[p], out.provenance[a]
+        assert (pkind, akind) == ("variable", "clause")
+        assert prole.startswith("x_") and arole.startswith("c_")
 
 
 def test_check_nae_reduction_consistent():
