@@ -22,7 +22,7 @@ from itertools import product
 from typing import Callable
 
 from .coloring import VertexColoring, is_distance_two_coloring, is_graceful_coloring
-from .graph import Graph, structural_report
+from .graph import Graph, degeneracy
 from .solve import (Decision, SearchBudget, UndecidedError,
                     distance_two_k_colorable, enumerate_graceful_colorings,
                     graceful_k_colorable)
@@ -379,11 +379,12 @@ def nae_reduce(phi: NaeFormula) -> ReductionOutput:
     g = Graph.from_edges(n, edges)
     var_ports = tuple(tuple(var_offsets[j] + p for p in port_order)
                       for j in range(phi.num_vars))
-    rep = structural_report(g)
-    if rep.max_degree > 3 or rep.degeneracy > 2:
+    max_degree = max(map(len, g.adjacency), default=0)
+    d, _ = degeneracy(g)
+    if max_degree > 3 or d > 2:
         raise AssertionError(
-            f"reduction output out of class: max degree {rep.max_degree}, "
-            f"degeneracy {rep.degeneracy}")
+            f"reduction output out of class: max degree {max_degree}, "
+            f"degeneracy {d}")
     return ReductionOutput(g, phi, provenance, tuple(port_edges), var_ports)
 
 

@@ -71,8 +71,9 @@ def _graceful_bans(g: Graph, k: int) -> tuple[list[tuple[int, int]], list[tuple[
     lowest-index vertex of maximum degree, at ceil(k/2), as c -> k+1-c maps
     graceful colorings to graceful colorings."""
     adj = g.adjacency
-    degree = [(v, c) for v in range(g.n) for c in range(1, k + 1)
-              if max(c - 1, k - c) < len(adj[v])]
+    # max(c-1, k-c) < d exactly for c in [k-d+1, d]
+    degree = [(v, c) for v in range(g.n)
+              for c in range(max(1, k - len(adj[v]) + 1), min(k, len(adj[v])) + 1)]
     root = max(range(g.n), key=lambda v: len(adj[v]), default=None)
     reflection = [] if root is None else [(root, c) for c in range((k + 1) // 2 + 1, k + 1)]
     return degree, reflection
@@ -89,9 +90,7 @@ def _colorings(g: Graph, k: int, budget: SearchBudget, tally: list[int],
     picked with no allowed color left (a wipeout), and kept on backtracking.
     The branching vertex has the fewest allowed colors, then the highest
     weight, then the highest degree (in g for graceful, in G^2 otherwise),
-    then the lowest index.  Vertices that keep failing are thus tried early,
-    where their failures prune the most; on the reduced NAE-3SAT-E4 graphs
-    this turns searches of 10^5 nodes and more into a few thousand.
+    then the lowest index, so vertices that keep failing are tried early.
     With symmetric, one coloring per symmetry class survives.  Distance-two
     search opens at most one new color per node (color interchange).
     Graceful search starts from the degree bans of _graceful_bans, which
@@ -113,15 +112,32 @@ def _colorings(g: Graph, k: int, budget: SearchBudget, tally: list[int],
     sound for this search.  Without symmetric neither rule applies, and
     every coloring is found.
 
-    The allowed colors are kept, not recomputed.  ban[v*K + c] flags color c
-    at the uncolored vertex v; forbid logs a flag on a trail only when it
-    sets it, and a frame undoes the trail back to the mark it took when it
-    was opened.  A repeat ban comes from the same frame or a deeper one and
-    so is undone no later than the first, and a vertex's flags are exact
-    again once the frames below it are undone.  dom[v] counts v's colors not
-    flagged; live[a] holds the uncolored vertices not yet picked with
-    dom == a, and branching takes the least key = (-weight, -degree, index)
-    in the first non-empty bucket, so a pick scans one bucket, not all n."""
+    The allowed colors are kept, not recomputed.  ban[v*K + c] is 0 if c is
+    allowed at the uncolored vertex v, 1 for a degree or reflection ban, and
+    else the OR of lb[x] = 2 << d over the x in its reason, x colored at
+    depth d: with v just colored, {v} for a G^2 or twin-order ban, {v, x}
+    for 2c - f(x) (x - v - w), {v, a} for (f(a) + c)/2 (a - w - v) and
+    {v, u} for 2f(u) - c (v - u - w).  forbid sets and trails a ban only if
+    it is unset; a repeat comes from the same frame or a deeper one, so the
+    first stands, reason and all, until its frame undoes the trail to the
+    mark it took.  dom[v] counts v's allowed colors; live[a] holds the
+    uncolored vertices not yet picked with dom == a, and branching takes the
+    least key = (-weight, -degree, index) in the first non-empty bucket.
+
+    A dead end jumps back (FC-CBJ; Prosser, Comput. Intell. 9(3), 1993).
+    When the frame at depth d runs out of colors, its conflict set is the
+    depths in its vertex's ban reasons and in conf[d], where its failed
+    subtrees left theirs; it pops every frame above h, the deepest of them,
+    and adds the rest to conf[h], and an empty set ends the search.  Each
+    rule constrains its reason alone, and twin order and reflection the
+    symmetry-reduced problem, so no skipped branch holds a coloring.  A
+    twin reason never matters alone: v's G^2 ban names v at its twin w
+    unless an earlier twin's order ban or the reflection banned c there,
+    and with it every color v's order ban would.  The distance-two cap
+    needs no entry: a color above it and the cap color are unused above,
+    so swapping them fixes every assignment, and the cap color, never
+    banned, was tried and failed.  A yielded coloring puts all lower
+    depths in conf[d], so enumeration backtracks one frame at a time."""
     n = g.n
     adj = g.adjacency
     near = g.square_adjacency
@@ -137,22 +153,29 @@ def _colorings(g: Graph, k: int, budget: SearchBudget, tally: list[int],
     dom = [K - 1 - sum(ban[v * K + 1:v * K + K]) for v in range(n)]
     live = [{v for v in range(n) if dom[v] == a} for a in range(K)]
     col = [0] * n
+    lb = [0] * n
+    conf = [0] * n
     trail: list[int] = []
 
-    def forbid(w: int, c: int) -> None:
+    def forbid(w: int, c: int, x: int, y: int) -> None:
         i = w * K + c
         if not ban[i]:
-            ban[i] = 1
+            ban[i] = lb[x] | lb[y]
             trail.append(i)
             live[dom[w]].remove(w)
             dom[w] -= 1
             live[dom[w]].add(w)
 
-    def assign(v: int, c: int) -> None:
+    def assign(v: int, c: int, bit: int) -> None:
         col[v] = c
+        lb[v] = bit
         for w in near[v]:
-            if not col[w]:
-                forbid(w, c)
+            if not col[w] and not ban[i := w * K + c]:
+                ban[i] = bit
+                trail.append(i)
+                live[dom[w]].remove(w)
+                dom[w] -= 1
+                live[dom[w]].add(w)
         if not graceful:
             return
         # Labels ban colors too, counted when the later of their participants
@@ -160,28 +183,28 @@ def _colorings(g: Graph, k: int, budget: SearchBudget, tally: list[int],
         # 2c - f(x); with v at the far end of v - u - w, w may not take
         # 2f(u) - c; and two labels |b - c| = |b - f(a)| clash at w when
         # b = (f(a) + c) / 2.
-        seen = [col[x] for x in adj[v] if col[x]]
+        seen = [x for x in adj[v] if col[x]]
         for w in adj[v]:
             if col[w]:
                 continue
-            for cx in seen:
-                t = 2 * c - cx
+            for x in seen:
+                t = 2 * c - col[x]
                 if 0 < t < K:
-                    forbid(w, t)
+                    forbid(w, t, v, x)
             for a in adj[w]:
                 ca = col[a]
                 if ca and a != v and not (ca + c) % 2:
-                    forbid(w, (ca + c) // 2)
+                    forbid(w, (ca + c) // 2, v, a)
         for u in adj[v]:
             t = 2 * col[u] - c
             if col[u] and 0 < t < K:
                 for w in adj[u]:
                     if not col[w]:
-                        forbid(w, t)
+                        forbid(w, t, v, u)
         for w in twins[v]:
             if not col[w]:
                 for t in (range(1, c) if w > v else range(c + 1, K)):
-                    forbid(w, t)
+                    forbid(w, t, v, v)
 
     def undo(mark: int) -> None:
         for i in trail[mark:]:
@@ -209,24 +232,37 @@ def _colorings(g: Graph, k: int, budget: SearchBudget, tally: list[int],
         yield tuple(col)
         return
     # frames: (vertex, colors left to try, max color above it, trail mark)
-    stack = [root]
-    while stack:
-        v, colors, max_used, mark = stack[-1]
-        undo(mark)
+    stack, d = [root], 0
+    while True:
+        v, colors, max_used, mark = stack[d]
+        if len(trail) > mark:
+            undo(mark)
         c = next(colors, None)
         if c is None:
-            col[v] = 0
-            live[dom[v]].add(v)
-            stack.pop()
+            cs = conf[d]
+            for b in ban[v * K + 1:v * K + K]:
+                cs |= b
+            if cs < 2:
+                return
+            h = cs.bit_length() - 2
+            while d > h:
+                u = stack.pop()[0]
+                col[u] = 0
+                live[dom[u]].add(u)
+                d -= 1
+            conf[h] |= cs ^ (2 << h)
             continue
         if tally[0] == budget.max_nodes:
             raise UndecidedError(f"search budget of {tally[0]} nodes exhausted")
         tally[0] += 1
-        assign(v, c)
+        assign(v, c, 2 << d)
         frame = branch(max(max_used, c))
         if frame is None:
+            conf[d] |= (2 << d) - 2
             yield tuple(col)
         else:
+            d += 1
+            conf[d] = 0
             stack.append(frame)
 
 

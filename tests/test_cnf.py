@@ -7,6 +7,7 @@ from graceful.cnf import (CnfFormula, SatResult, decode_model,
                           encode_graceful, internal_sat, parse_solver_output,
                           predicted_clause_counts, write_dimacs)
 from graceful.graph import SplitMix64
+from graceful.reductions import nae_reduce, smallest_e4_instance
 
 
 def test_encode_k2():
@@ -118,6 +119,18 @@ def test_equivalence_with_native_solver():
             assert (native == "yes") == (sat.status == "sat"), (n, k, i)
             if sat.status == "sat":
                 decode_model(encode_graceful(g, k), sat.model)
+
+
+def test_native_search_matches_cnf_route_on_reduced_and_cubic_graphs(e4_6):
+    # graphs of many loosely joined parts, where the native search jumps
+    # back over the vertices that played no part in a dead end
+    cases = [(nae_reduce(phi).graph, 4) for phi in (smallest_e4_instance(),) + e4_6]
+    cases += [(cubic_graph(n, s), k) for n in (10, 12, 14, 16) for s in range(4)
+              for k in (5, 6, 7)]
+    for g, k in cases:
+        native = graceful_k_colorable(g, k).status
+        sat = internal_sat(encode_graceful(g, k))
+        assert (native == "yes") == (sat.status == "sat"), (g.n, k)
 
 
 def test_cubic_k5_refuted_within_budget():

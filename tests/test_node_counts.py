@@ -8,14 +8,16 @@ alter the order must say so and update the pins.
 
 The native search branches on the vertex with the fewest allowed colors,
 then the most wipeouts so far (dom/wdeg), then the highest degree, then
-the lowest index; the reduced NAE-3SAT-E4 pins are the ones that rule
-moves most, from 252 vertices (six variables) to 756 (eighteen).  Graceful
-search also colors each class of twins in increasing order, which moves
-the counts of graphs with twins only: the complete graphs here, not the
-reduced NAE-3SAT-E4, cubic, Petersen or Q_3 pins.  The CDCL pins are of
-formulas that carry the same three rules as clauses (degree, reflection
-and twin order; see graceful.cnf), which cut their refutations most: K_6
-at k = 10 took 1,980 decisions without them."""
+the lowest index, and at a dead end it jumps back to the deepest
+assignment the dead end depends on; the reduced NAE-3SAT-E4 pins are the
+ones these rules move most, from 252 vertices (six variables) to 882
+(twenty-one).  Graceful search also colors each class of twins in
+increasing order, which moves the counts of graphs with twins only: the
+complete graphs here, not the reduced NAE-3SAT-E4, cubic, Petersen or Q_3
+pins.  The CDCL pins are of formulas that carry the same three rules as
+clauses (degree, reflection and twin order; see graceful.cnf), which cut
+their refutations most: K_6 at k = 10 took 1,980 decisions without
+them."""
 
 import pytest
 
@@ -35,13 +37,13 @@ def _decided(g, k, budget):
 
 def test_reduced_e4_3_at_k4():
     g = nae_reduce(smallest_e4_instance()).graph
-    assert _decided(g, 4, 3000) == ("yes", 244)
+    assert _decided(g, 4, 3000) == ("yes", 196)
 
 
 @pytest.mark.parametrize("i", range(3))
 def test_reduced_e4_6(e4_6, i):
     g = nae_reduce(e4_6[i]).graph
-    assert _decided(g, 4, 1500) == ("yes", (980, 1035, 786)[i])
+    assert _decided(g, 4, 1500) == ("yes", (634, 671, 731)[i])
     assert _decided(g, 5, 1500) == ("yes", (256, 254, 255)[i])
 
 
@@ -49,7 +51,7 @@ def test_reduced_e4_6_full_decision(e4_6):
     g = nae_reduce(e4_6[0]).graph
     # a larger budget changes no node count, as the search stops at its first
     # coloring and picks its vertices with no regard to the budget
-    assert _decided(g, 4, 50000) == ("yes", 980)
+    assert _decided(g, 4, 50000) == ("yes", 634)
 
 
 def test_reduced_e4_18_at_k4(e4_6):
@@ -59,14 +61,39 @@ def test_reduced_e4_18_at_k4(e4_6):
                                for i, f in enumerate(e4_6) for cl in f.clauses])
     g = nae_reduce(phi).graph
     assert g.n == 756
-    assert _decided(g, 4, 10000) == ("yes", 7919)
+    assert _decided(g, 4, 10000) == ("yes", 4546)
 
 
 def test_reduced_e4_9_unsat_at_k4(e4_9_unsat):
     # NAE-unsatisfiable, so 'no' needs the whole tree: the budget must hold it
     results = [check_nae_reduction(phi, SearchBudget(100_000)) for phi in e4_9_unsat]
     assert [(r.status, r.details["graceful_4"], r.details["nodes"]) for r in results] == [
-        ("consistent", "no", 24544), ("consistent", "no", 17185)]
+        ("consistent", "no", 6642), ("consistent", "no", 9427)]
+
+
+# the pairing-model NAE-3SAT-E4 formula on 12 variables with seed 0
+# (bench/naegen.py), which is NAE-satisfiable
+E4_12 = NaeFormula.make(12, (
+    (0, 3, 10), (1, 2, 10), (1, 2, 6), (3, 5, 7), (0, 1, 9), (0, 4, 8), (3, 4, 8), (5, 7, 10),
+    (3, 9, 11), (2, 7, 8), (2, 4, 6), (5, 8, 11), (4, 6, 9), (6, 7, 11), (0, 5, 10), (1, 9, 11)))
+
+
+@pytest.mark.parametrize("nine_first, nodes", [(False, 22930), (True, 9762)],
+                         ids=["nae12-first", "nae9-first"])
+def test_reduced_union_in_both_orders(e4_9_unsat, nine_first, nodes):
+    # the NAE-9 refutation must be found again under every assignment of the
+    # NAE-12 gadgets colored before it; the search jumps back over them, and
+    # backtracking to the previous assignment took 859,853 nodes with NAE-9
+    # last (24,102 with it first)
+    blocks = [(9, e4_9_unsat[0]), (12, E4_12)]
+    if not nine_first:
+        blocks.reverse()
+    offset, clauses = 0, []
+    for num_vars, phi in blocks:
+        clauses += [tuple(x + offset for x in cl) for cl in phi.clauses]
+        offset += num_vars
+    g = nae_reduce(NaeFormula.make(21, clauses)).graph
+    assert _decided(g, 4, 50_000) == ("no", nodes)
 
 
 def test_reduced_e4_9_unsat_on_cnf_route(e4_9_unsat):
@@ -122,7 +149,7 @@ def test_chromatic_numbers(g, chi2, chig):
 # order; with the reflection cap alone, K_8 ran past 50,000 nodes.  The
 # distance-two search breaks no twin symmetry: chi(K_q^2) = q in q nodes.
 @pytest.mark.parametrize("q, value, nodes", [
-    (5, 9, 127), (6, 11, 283), (7, 13, 629), (8, 14, 664), (9, 20, 9891),
+    (5, 9, 127), (6, 11, 283), (7, 13, 626), (8, 14, 664), (9, 20, 10092),
 ])
 def test_complete_graphs(q, value, nodes):
     res = distance_two_chromatic_number(complete_graph(q))

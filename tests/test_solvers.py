@@ -12,9 +12,12 @@ from graceful import (Graph, SearchBudget, VertexColoring, bounds,
                       gnp_graph, graceful_chromatic_number, graceful_k_colorable,
                       graceful_k_colorable_bruteforce, hypercube_graph,
                       is_distance_two_coloring, is_graceful_coloring,
-                      lift_distance_two, path_graph, petersen_graph,
+                      cubic_graph, lift_distance_two, path_graph, petersen_graph,
                       star_graph, a_of_n)
 from graceful.graph import SplitMix64
+from graceful.reductions import (clause_gadget, nae_reduce, smallest_e4_instance,
+                                 variable_gadget)
+from graceful.solve import _graceful_bans
 
 
 def test_distance_two_c4():
@@ -98,24 +101,97 @@ def test_solver_matches_bruteforce():
             assert fast == ("yes" if slow else "no"), (n, k, i)
 
 
-def _graceful_exhaustive(g, k):
-    """Whether g has a graceful k-coloring, by extending colorings of the
-    induced subgraphs g[0..j-1] one vertex at a time through the verifier.
-    A graceful coloring restricts to one of every induced subgraph, so this
-    drops no prefix that could be extended; unlike the solver, it breaks no
-    symmetry."""
-    prefix = [Graph.from_edges(j, [(u, v) for u, v in g.edges() if v < j])
-              for j in range(g.n + 1)]
-    stack = [()]
-    while stack:
-        f = stack.pop()
-        if len(f) == g.n:
-            return True
+def _exhaustive_colorings(g, k, graceful=True):
+    """Every graceful (else distance-two) k-coloring of g, as color tuples.
+    Vertices are colored in breadth-first order, and a branch is cut as soon
+    as its colored vertices break the definition: two equal colors within
+    distance two or, for graceful, a zero or repeated difference label at a
+    vertex.  Those rules only ever fail more as more vertices are colored,
+    so no extendable prefix is dropped, and every full coloring also passes
+    the verifier.  Unlike the solver, it breaks no symmetry and skips no
+    branch."""
+    adj = g.adjacency
+    order = []
+    for s in range(g.n):
+        if s not in order:
+            i = len(order)
+            order.append(s)
+            while i < len(order):
+                order += [u for u in sorted(adj[order[i]]) if u not in order]
+                i += 1
+    col = [0] * g.n
+    verify = is_graceful_coloring if graceful else is_distance_two_coloring
+
+    def fits(v, c):
+        if not graceful:
+            return not any(col[u] == c or any(col[x] == c for x in adj[u] if x != v)
+                           for u in adj[v])
+        labels = [abs(c - col[x]) for x in adj[v] if col[x]]
+        if 0 in labels or len(set(labels)) < len(labels):
+            return False
+        return not any(abs(col[w] - c) == abs(col[w] - col[x])
+                       for w in adj[v] if col[w] for x in adj[w] if col[x] and x != v)
+
+    def extend(i):
+        if i == g.n:
+            assert verify(g, VertexColoring(tuple(col), k))[0]
+            yield tuple(col)
+            return
+        v = order[i]
         for c in range(1, k + 1):
-            h = f + (c,)
-            if is_graceful_coloring(prefix[len(h)], VertexColoring(h, k))[0]:
-                stack.append(h)
-    return False
+            if fits(v, c):
+                col[v] = c
+                yield from extend(i + 1)
+                col[v] = 0
+
+    return extend(0)
+
+
+# Counting every coloring is the sharp check on backjumping: a ban reason
+# that misses a participant lets the search jump over a branch that holds
+# colorings, which a yes/no answer rarely shows.  cubic_graph(10, s) at k = 7
+# for s = 6, 20 and 21 are here because their counts change when x is
+# dropped from the reason of 2c - f(x) (s = 21), a from (f(a) + c)/2
+# (s = 6, 20) or u from 2f(u) - c (s = 20, 21).
+ENUMERATION_CASES = (
+    [(f"cubic{n}-{s}", cubic_graph(n, s), k)
+     for n in (8, 10) for s in range(3) for k in (6, 7)]
+    + [(f"cubic10-{s}", cubic_graph(10, s), 7) for s in (6, 20, 21)]
+    + [(f"gnp{n}-{s}", gnp_graph(n, 0.3, 100 * n + s), k)
+       for n, s in ((7, 0), (7, 1), (8, 0), (8, 4), (9, 0), (9, 6), (10, 1), (10, 7))
+       for k in (5, 6)]
+    + [(f"P{n}", path_graph(n), 4) for n in (8, 9)]
+    + [(f"C{n}", cycle_graph(n), 5) for n in (8, 9)]
+    + [("variable-gadget", variable_gadget().graph, 4),
+       ("clause-gadget", clause_gadget().graph, 4)])
+
+
+@pytest.mark.parametrize("g, k", [case[1:] for case in ENUMERATION_CASES],
+                         ids=[f"{case[0]}-k{case[2]}" for case in ENUMERATION_CASES])
+def test_enumeration_matches_exhaustive_search(g, k):
+    expected = sorted(_exhaustive_colorings(g, k))
+    assert [f.colors for f in enumerate_graceful_colorings(g, k)] == expected
+
+
+def test_distance_two_matches_exhaustive_search():
+    rng = SplitMix64(17)
+    for i in range(30):
+        g = gnp_graph(7 + rng.randint(4), 0.3, 1700 + i)
+        for k in range(2, 8):
+            expected = next(_exhaustive_colorings(g, k, False), None) is not None
+            assert distance_two_k_colorable(g, k).yes == expected, (g.edges(), k)
+
+
+def test_degree_bans_match_definition():
+    # max(c-1, k-c) < d(v): color c offers too few difference labels for v
+    graphs = ([cubic_graph(10, 0), gnp_graph(9, 0.5, 3), star_graph(6), complete_graph(7),
+               path_graph(4), Graph.from_edges(3, [(0, 1)])]
+              + [nae_reduce(smallest_e4_instance()).graph])
+    for g in graphs:
+        for k in range(1, 25):
+            degree, _ = _graceful_bans(g, k)
+            assert degree == [(v, c) for v in range(g.n) for c in range(1, k + 1)
+                              if max(c - 1, k - c) < g.degree(v)], (g.edges(), k)
 
 
 TWIN_RICH = ([star_graph(m) for m in range(1, 7)]
@@ -133,15 +209,19 @@ def test_twin_order_matches_exhaustive_search():
     graphs = TWIN_RICH + [gnp_graph(2 + rng.randint(6), 0.5, 1300 + i) for i in range(30)]
     for g in graphs:
         for k in range(1, 10):
-            expected = "yes" if _graceful_exhaustive(g, k) else "no"
-            assert graceful_k_colorable(g, k).status == expected, (g.edges(), k)
+            found = next(_exhaustive_colorings(g, k), None) is not None
+            assert graceful_k_colorable(g, k).yes == found, (g.edges(), k)
 
 
 def test_oracles_agree():
+    # the exhaustive search finds exactly the colorings among all k^n
     for g in TWIN_RICH[:3] + [complete_graph(3), path_graph(3), cycle_graph(4)]:
         for k in range(1, 6):
-            assert (_graceful_exhaustive(g, k)
-                    == graceful_k_colorable_bruteforce(g, k).yes), (g.edges(), k)
+            for graceful in (True, False):
+                verify = is_graceful_coloring if graceful else is_distance_two_coloring
+                expected = [c for c in product(range(1, k + 1), repeat=g.n)
+                            if verify(g, VertexColoring(c, k))[0]]
+                assert sorted(_exhaustive_colorings(g, k, graceful)) == expected, (g.edges(), k)
 
 
 @pytest.mark.parametrize("g, k", [
