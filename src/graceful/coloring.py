@@ -51,37 +51,53 @@ class Violation:
     via: int | None = None
 
 
+def _colors(g: Graph, f: VertexColoring) -> tuple[int, ...]:
+    if len(f) != g.n:
+        raise ValueError(f"coloring has {len(f)} entries for a {g.n}-vertex graph")
+    return f.colors
+
+
 def induced_difference_labelling(g: Graph, f: VertexColoring) -> EdgeLabelling:
-    if len(f) != g.n:
-        raise ValueError(f"coloring has {len(f)} entries for a {g.n}-vertex graph")
-    return EdgeLabelling(tuple(abs(f[u] - f[v]) for u, v in g.edges()))
+    c = _colors(g, f)
+    return EdgeLabelling(tuple(abs(c[u] - c[v]) for u, v in g.edges()))
 
 
-def _check(g: Graph, f: VertexColoring, kind: str, value) -> tuple[bool, Violation | None]:
-    """f is proper, and no two neighbours u of a vertex v share value(u, v);
-    a clash is reported as a Violation of this kind."""
-    if len(f) != g.n:
-        raise ValueError(f"coloring has {len(f)} entries for a {g.n}-vertex graph")
+def _first_violation(g: Graph, f: VertexColoring, kind: str, value) -> Violation:
+    """The first improper edge of f in edge order, else the first vertex v
+    at which two neighbours u, in increasing order, share value(u, v),
+    reported as a Violation of this kind.  Only a rejected f gets here."""
     for u, v in g.edges():
         if f[u] == f[v]:
-            return False, Violation("edge", u, v)
+            return Violation("edge", u, v)
     for v in range(g.n):
         seen: dict[int, int] = {}
         for u in sorted(g.adjacency[v]):
             x = value(u, v)
             if x in seen:
-                return False, Violation(kind, seen[x], u, via=v)
+                return Violation(kind, seen[x], u, via=v)
             seen[x] = u
-    return True, None
+    raise AssertionError("a rejected coloring has no violation")
 
+
+# Each verifier decides in one set per vertex: v's deg(v) neighbours give
+# deg(v) distinct values, none of them 0 for a label or f(v) for a color,
+# at every v exactly when f is proper and no value repeats at a vertex.
 
 def is_distance_two_coloring(g: Graph, f: VertexColoring) -> tuple[bool, Violation | None]:
     """Proper coloring of G in which no two neighbours of a vertex share a
     color, i.e. a proper coloring of G^2."""
-    return _check(g, f, "distance2", lambda u, v: f[u])
+    c = _colors(g, f)
+    if all(x not in (s := {c[u] for u in a}) and len(s) == len(a)
+           for x, a in zip(c, g.adjacency)):
+        return True, None
+    return False, _first_violation(g, f, "distance2", lambda u, v: f[u])
 
 
 def is_graceful_coloring(g: Graph, f: VertexColoring) -> tuple[bool, Violation | None]:
     """Proper coloring whose induced difference labelling is a proper edge
     coloring: edges sharing an endpoint carry distinct labels."""
-    return _check(g, f, "label", lambda u, v: abs(f[u] - f[v]))
+    c = _colors(g, f)
+    if all(0 not in (s := {abs(x - c[u]) for u in a}) and len(s) == len(a)
+           for x, a in zip(c, g.adjacency)):
+        return True, None
+    return False, _first_violation(g, f, "label", lambda u, v: abs(f[u] - f[v]))

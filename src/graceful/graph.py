@@ -63,7 +63,9 @@ class Graph:
     def square_adjacency(self) -> tuple[tuple[int, ...], ...]:
         """Adjacency of G^2: for each vertex, the vertices at distance 1 or 2
         in increasing order.  Tuples, not frozensets: the cache lives as long
-        as the graph, and a tuple of ints takes a fraction of the memory."""
+        as the graph, and a tuple of ints takes a fraction of the memory.
+        Read by the distance-two search (solve._colorings), the CNF encoder
+        (cnf.encode_graceful) and square(); graceful search never builds it."""
         adj = self.adjacency
         return tuple(tuple(sorted(a.union(*(adj[u] for u in a)) - {v}))
                      for v, a in enumerate(adj))
@@ -154,21 +156,14 @@ def write_graph6(g: Graph) -> str:
     """Encode a Graph as a graph6 line (requires n <= 258047)."""
     if g.n > _GRAPH6_MAX_N:
         raise ValueError(f"n={g.n} exceeds graph6 range (n <= {_GRAPH6_MAX_N})")
-    bits = []
-    for v in range(1, g.n):
-        for u in range(v):
-            bits.append(1 if g.has_edge(u, v) else 0)
-    while len(bits) % 6:
-        bits.append(0)
+    adj = g.adjacency
+    bits = "".join("1" if u in adj[v] else "0" for v in range(1, g.n) for u in range(v))
+    bits += "0" * (-len(bits) % 6)
     if g.n < 63:
         out = [chr(g.n + 63)]
     else:
         out = ["~"] + [chr((g.n >> shift & 63) + 63) for shift in (12, 6, 0)]
-    for i in range(0, len(bits), 6):
-        v = 0
-        for b in bits[i:i + 6]:
-            v = (v << 1) | b
-        out.append(chr(v + 63))
+    out += [chr(int(bits[i:i + 6], 2) + 63) for i in range(0, len(bits), 6)]
     return "".join(out)
 
 
@@ -304,6 +299,7 @@ def structural_report(g: Graph) -> StructuralReport:
 # bit-for-bit across machines and languages.
 
 _MASK = (1 << 64) - 1
+_GAMMA = 0x9E3779B97F4A7C15  # the state steps by this constant per draw
 
 
 class SplitMix64:
@@ -311,7 +307,7 @@ class SplitMix64:
         self.state = seed & _MASK
 
     def next_u64(self) -> int:
-        self.state = (self.state + 0x9E3779B97F4A7C15) & _MASK
+        self.state = (self.state + _GAMMA) & _MASK
         z = self.state
         z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
         z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK
@@ -392,22 +388,31 @@ CUBIC_RETRIES = 1000
 def cubic_graph(n: int, seed: int) -> Graph:
     """Random 3-regular graph via the pairing model, rejecting loops and
     multi-edges, with up to CUBIC_RETRIES pairings.  Deterministic in
-    (n, seed)."""
+    (n, seed).
+
+    A pairing is a Fisher-Yates shuffle of the 3n points, paired off as
+    (0, 1), (2, 3), ...  The shuffle fixes positions from the end, so pair
+    (i, i+1) is checked as soon as position i is drawn; a bad pair ends the
+    attempt, and the i-1 draws left of its shuffle are skipped by stepping
+    the generator's state, so the graphs are those of whole shuffles."""
     if n < 4 or n % 2:
         raise ValueError("cubic graphs need even n >= 4")
     rng = SplitMix64(seed)
     for _ in range(CUBIC_RETRIES):
         points = [v for v in range(n) for _ in range(3)]
-        rng.shuffle(points)
         edges = set()
-        ok = True
-        for i in range(0, len(points), 2):
-            u, v = points[i], points[i + 1]
-            if u == v or (min(u, v), max(u, v)) in edges:
-                ok = False
+        for i in range(len(points) - 1, -1, -1):
+            if i:  # as SplitMix64.shuffle does
+                j = rng.randint(i + 1)
+                points[i], points[j] = points[j], points[i]
+            if i % 2:
+                continue
+            u, v = sorted(points[i:i + 2])
+            if u == v or (u, v) in edges:
+                rng.state = (rng.state + max(i - 1, 0) * _GAMMA) & _MASK
                 break
-            edges.add((min(u, v), max(u, v)))
-        if ok:
+            edges.add((u, v))
+        else:
             return Graph.from_edges(n, sorted(edges))
     raise RuntimeError(f"cubic generation failed after {CUBIC_RETRIES} retries")
 

@@ -9,7 +9,9 @@ complete, exhausted search; budget exhaustion yields 'unknown'.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 from itertools import product
+from operator import or_
 from typing import Callable, Iterator
 
 from .coloring import VertexColoring, is_distance_two_coloring, is_graceful_coloring
@@ -124,6 +126,16 @@ def _colorings(g: Graph, k: int, budget: SearchBudget, tally: list[int],
     uncolored vertices not yet picked with dom == a, and branching takes the
     least key = (-weight, -degree, index) in the first non-empty bucket.
 
+    Distance-two search reads G^2 (Graph.square_adjacency) for its bans.
+    Graceful search never builds it: it bans c at each uncolored w on the
+    walks v - w and v - u - w that its label rules take anyway.  No label or
+    twin ban of the same assignment lands on (w, c), as each would need a
+    vertex within distance two of v colored c, so whatever the order the
+    G^2 ban's reason is {v}.  A frame keeps the color it tried last.  Once
+    its trail is undone, v's bans are those it was opened with, so its next
+    color is the next 0 in ban after that color, which list.index finds;
+    the always-0 slot v*K + K ends the scan.
+
     A dead end jumps back (FC-CBJ; Prosser, Comput. Intell. 9(3), 1993).
     When the frame at depth d runs out of colors, its conflict set is the
     depths in its vertex's ban reasons and in conf[d], where its failed
@@ -140,14 +152,15 @@ def _colorings(g: Graph, k: int, budget: SearchBudget, tally: list[int],
     depths in conf[d], so enumeration backtracks one frame at a time."""
     n = g.n
     adj = g.adjacency
-    near = g.square_adjacency
     twins = g.twin_classes if graceful and symmetric else [()] * n
     K = k + 1
-    ban = [0] * (n * K)
+    ban = [0] * (n * K + 1)  # slot v*K, and one past the last vertex, stay 0
     if graceful:
         degree_bans, reflection = _graceful_bans(g, k)
         for v, c in degree_bans + (reflection if symmetric else []):
             ban[v * K + c] = 1
+    else:
+        near = g.square_adjacency
     degree = [len(a) for a in (adj if graceful else near)]
     key = [v - degree[v] * n for v in range(n)]  # minus n*n per wipeout: degree < n
     dom = [K - 1 - sum(ban[v * K + 1:v * K + K]) for v in range(n)]
@@ -169,37 +182,42 @@ def _colorings(g: Graph, k: int, budget: SearchBudget, tally: list[int],
     def assign(v: int, c: int, bit: int) -> None:
         col[v] = c
         lb[v] = bit
-        for w in near[v]:
-            if not col[w] and not ban[i := w * K + c]:
-                ban[i] = bit
-                trail.append(i)
-                live[dom[w]].remove(w)
-                dom[w] -= 1
-                live[dom[w]].add(w)
         if not graceful:
+            for w in near[v]:
+                if not col[w] and not ban[i := w * K + c]:
+                    ban[i] = bit
+                    trail.append(i)
+                    live[dom[w]].remove(w)
+                    dom[w] -= 1
+                    live[dom[w]].add(w)
             return
-        # Labels ban colors too, counted when the later of their participants
-        # is colored.  With v in the middle of x - v - w, w may not take
-        # 2c - f(x); with v at the far end of v - u - w, w may not take
-        # 2f(u) - c; and two labels |b - c| = |b - f(a)| clash at w when
-        # b = (f(a) + c) / 2.
+        # c is banned at every uncolored w within distance two, on the walks
+        # v - w and v - u - w below.  Labels ban colors too, counted when the
+        # later of their participants is colored.  With v in the middle of
+        # x - v - w, w may not take 2c - f(x); with v at the far end of
+        # v - u - w, w may not take 2f(u) - c; and two labels
+        # |b - c| = |b - f(a)| clash at w when b = (f(a) + c) / 2.
         seen = [x for x in adj[v] if col[x]]
         for w in adj[v]:
             if col[w]:
                 continue
+            forbid(w, c, v, v)
             for x in seen:
                 t = 2 * c - col[x]
                 if 0 < t < K:
                     forbid(w, t, v, x)
             for a in adj[w]:
                 ca = col[a]
-                if ca and a != v and not (ca + c) % 2:
+                if not ca:
+                    forbid(a, c, v, v)
+                elif a != v and not (ca + c) % 2:
                     forbid(w, (ca + c) // 2, v, a)
-        for u in adj[v]:
+        for u in seen:
             t = 2 * col[u] - c
-            if col[u] and 0 < t < K:
-                for w in adj[u]:
-                    if not col[w]:
+            for w in adj[u]:
+                if not col[w]:
+                    forbid(w, c, v, v)
+                    if 0 < t < K:
                         forbid(w, t, v, u)
         for w in twins[v]:
             if not col[w]:
@@ -215,7 +233,7 @@ def _colorings(g: Graph, k: int, budget: SearchBudget, tally: list[int],
             live[dom[w]].add(w)
         del trail[mark:]
 
-    def branch(max_used: int):
+    def branch(cap: int):
         bucket = next(filter(None, live), None)
         if bucket is None:
             return None
@@ -223,25 +241,25 @@ def _colorings(g: Graph, k: int, budget: SearchBudget, tally: list[int],
         bucket.remove(v)
         if bucket is live[0]:
             key[v] -= n * n
-        cap = min(max_used + 1, k) if symmetric and not graceful else k
-        colors = [c for c in range(1, cap + 1) if not ban[v * K + c]]
-        return v, iter(colors), max_used, len(trail)
+        return [v, 0, cap, len(trail)]
 
-    root = branch(0)
+    # under the distance-two cap a frame may open one color above the
+    # largest used so far, else any color
+    root = branch(1 if symmetric and not graceful else k)
     if root is None:
         yield tuple(col)
         return
-    # frames: (vertex, colors left to try, max color above it, trail mark)
+    # frames: [vertex, color last tried, largest color allowed, trail mark]
     stack, d = [root], 0
     while True:
-        v, colors, max_used, mark = stack[d]
+        frame = stack[d]
+        v, c, cap, mark = frame
         if len(trail) > mark:
             undo(mark)
-        c = next(colors, None)
-        if c is None:
-            cs = conf[d]
-            for b in ban[v * K + 1:v * K + K]:
-                cs |= b
+        base = v * K
+        c = ban.index(0, base + c + 1) - base
+        if c > cap:
+            cs = reduce(or_, ban[base + 1:base + K], conf[d])
             if cs < 2:
                 return
             h = cs.bit_length() - 2
@@ -255,8 +273,9 @@ def _colorings(g: Graph, k: int, budget: SearchBudget, tally: list[int],
         if tally[0] == budget.max_nodes:
             raise UndecidedError(f"search budget of {tally[0]} nodes exhausted")
         tally[0] += 1
+        frame[1] = c
         assign(v, c, 2 << d)
-        frame = branch(max(max_used, c))
+        frame = branch(min(cap + (c == cap), k))
         if frame is None:
             conf[d] |= (2 << d) - 2
             yield tuple(col)

@@ -228,6 +228,44 @@ def test_cubic_generator_regular_and_deterministic():
     assert cubic_graph(8, seed=2) != g
 
 
+def _cubic_graph_whole_shuffles(n, seed):
+    # cubic_graph as it was: shuffle all 3n points, then pair them off
+    rng = SplitMix64(seed)
+    while True:
+        points = [v for v in range(n) for _ in range(3)]
+        rng.shuffle(points)
+        edges = set()
+        for i in range(0, len(points), 2):
+            u, v = sorted(points[i:i + 2])
+            if u == v or (u, v) in edges:
+                break
+            edges.add((u, v))
+        else:
+            return Graph.from_edges(n, sorted(edges))
+
+
+def _graph6_by_has_edge(g):
+    # write_graph6 as it was: one has_edge call and one bit at a time
+    bits = [1 if g.has_edge(u, v) else 0 for v in range(1, g.n) for u in range(v)]
+    bits += [0] * (-len(bits) % 6)
+    out = [chr(g.n + 63)] if g.n < 63 else ["~"] + [chr((g.n >> s & 63) + 63) for s in (12, 6, 0)]
+    for i in range(0, len(bits), 6):
+        v = 0
+        for b in bits[i:i + 6]:
+            v = (v << 1) | b
+        out.append(chr(v + 63))
+    return "".join(out)
+
+
+def test_cubic_generator_and_graph6_match_the_plain_algorithms():
+    # cubic_graph checks each pair as the shuffle fixes it and skips the rest
+    # of a failed shuffle; the corpora it seeds must not change by one edge
+    for n in range(4, 90, 2):
+        for seed in range(40):
+            expected = _graph6_by_has_edge(_cubic_graph_whole_shuffles(n, seed))
+            assert write_graph6(cubic_graph(n, seed)) == expected, (n, seed)
+
+
 def test_cubic_generator_rejects_odd_n():
     with pytest.raises(ValueError):
         cubic_graph(7, seed=1)

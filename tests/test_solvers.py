@@ -202,6 +202,18 @@ TWIN_RICH = ([star_graph(m) for m in range(1, 7)]
              + [Graph.from_edges(5, [(0, 1)]), Graph.from_edges(6, [(1, 2), (1, 3)])])
 
 
+def test_graceful_search_never_builds_the_square():
+    # graceful search bans f(v) within distance two on its own walk from v
+    g = cubic_graph(18, 25)
+    graceful_k_colorable(g, 5)
+    assert "square_adjacency" not in vars(g)
+    gadget = variable_gadget().graph
+    assert enumerate_graceful_colorings(gadget, 4)
+    assert "square_adjacency" not in vars(gadget)
+    distance_two_k_colorable(g, 5)
+    assert "square_adjacency" in vars(g)
+
+
 def test_twin_order_matches_exhaustive_search():
     # twins (same open or closed neighbourhood) are colored in increasing
     # order by the symmetric search; the oracle breaks no symmetry
