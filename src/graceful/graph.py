@@ -65,7 +65,8 @@ class Graph:
         in increasing order.  Tuples, not frozensets: the cache lives as long
         as the graph, and a tuple of ints takes a fraction of the memory.
         Read by the distance-two search (solve._colorings), the CNF encoder
-        (cnf.encode_graceful) and square(); graceful search never builds it."""
+        (cnf.encode_graceful), square() and square_clique(); graceful search
+        never builds it."""
         adj = self.adjacency
         return tuple(tuple(sorted(a.union(*(adj[u] for u in a)) - {v}))
                      for v, a in enumerate(adj))
@@ -210,6 +211,20 @@ def write_edge_list(g: Graph) -> str:
 def square(g: Graph) -> Graph:
     """G^2: same vertices, edges between all pairs at distance 1 or 2."""
     return Graph(g.n, tuple(map(frozenset, g.square_adjacency)))
+
+
+def square_clique(g: Graph) -> tuple[int, ...]:
+    """A clique of G^2, grown greedily from each vertex by adding the
+    lowest-index vertex adjacent in G^2 to all chosen; the largest found."""
+    near = g.square_adjacency
+    best: tuple[int, ...] = ()
+    for v in range(g.n):
+        clique, common = [v], set(near[v])
+        while common:
+            clique.append(min(common))
+            common.intersection_update(near[clique[-1]])
+        best = max(best, tuple(clique), key=len)
+    return best
 
 
 def degeneracy(g: Graph) -> tuple[int, list[int]]:

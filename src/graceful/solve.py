@@ -15,7 +15,7 @@ from operator import or_
 from typing import Callable, Iterator
 
 from .coloring import VertexColoring, is_distance_two_coloring, is_graceful_coloring
-from .graph import Graph
+from .graph import Graph, square_clique
 from .sequences import MAX_N, a_of_n
 
 DEFAULT_BUDGET = 10 ** 7
@@ -65,6 +65,11 @@ class InternalConsistencyError(AssertionError):
 # difference labels are also distinct at every vertex, so one depth-first
 # search decides both; `graceful` switches the label check on.
 
+def _reflection_root(g: Graph) -> int | None:
+    """The lowest-index vertex of maximum degree, or None if g is empty."""
+    return max(range(g.n), key=lambda v: len(g.adjacency[v]), default=None)
+
+
 def _graceful_bans(g: Graph, k: int) -> tuple[list[tuple[int, int]], list[tuple[int, int]]]:
     """The (vertex, color) pairs ruled out before a graceful k-coloring
     search, which it starts from and the CNF encoder emits as clauses:
@@ -76,7 +81,7 @@ def _graceful_bans(g: Graph, k: int) -> tuple[list[tuple[int, int]], list[tuple[
     # max(c-1, k-c) < d exactly for c in [k-d+1, d]
     degree = [(v, c) for v in range(g.n)
               for c in range(max(1, k - len(adj[v]) + 1), min(k, len(adj[v])) + 1)]
-    root = max(range(g.n), key=lambda v: len(adj[v]), default=None)
+    root = _reflection_root(g)
     reflection = [] if root is None else [(root, c) for c in range((k + 1) // 2 + 1, k + 1)]
     return degree, reflection
 
@@ -357,12 +362,14 @@ def _least_k(g: Graph, k: int, budget: SearchBudget, total: int, graceful: bool,
 
 def distance_two_chromatic_number(g: Graph,
                                   budget: SearchBudget = SearchBudget()) -> OptimumResult:
-    """chi(G^2) by upward iteration from the trivial lower bound
-    max_v d(v) + 1 (a vertex and its neighbours are mutually constrained).
-    n colors always suffice."""
+    """chi(G^2) by upward iteration from the size of a clique of G^2, the
+    larger of a closed neighbourhood (max_v d(v) + 1) and square_clique's:
+    its vertices need distinct colors, so it certifies a 'no' at every
+    smaller k, which search can take millions of nodes to prove.  n colors
+    always suffice."""
     if g.n == 0:
         return OptimumResult("ok", 0, None, 0)
-    start = max(g.degree(v) for v in range(g.n)) + 1
+    start = max(max(map(len, g.adjacency)) + 1, len(square_clique(g)))
     return _least_k(g, start, budget, 0, False, lambda k: k >= g.n)
 
 

@@ -3,7 +3,7 @@ import pytest
 from graceful import (SearchBudget, complete_bipartite, complete_graph,
                       cubic_graph, enumerate_graceful_colorings, gnp_graph,
                       graceful_k_colorable, is_graceful_coloring, star_graph)
-from graceful.cnf import (CnfFormula, SatResult, decode_model,
+from graceful.cnf import (CnfFormula, SatResult, _breadth_first, decode_model,
                           encode_graceful, internal_sat, parse_solver_output,
                           predicted_clause_counts, write_dimacs)
 from graceful.graph import SplitMix64
@@ -68,10 +68,17 @@ def _families(formula):
     return out
 
 
-def _satisfies(f, clauses):
-    """Whether coloring f satisfies every clause, x_{v,c} read as f(v) == c."""
-    true = {v * f.k + c for v, c in enumerate(f.colors)}
-    lits = {x if x in true else -x for x in range(1, len(f.colors) * f.k + 1)}
+def _model(f, formula):
+    """Coloring f as an assignment: x_{v,c}, with id r*k + c for v at rank r
+    of the breadth-first order, is true iff f(v) == c."""
+    order = _breadth_first(formula.graph)
+    true = {r * f.k + f.colors[v] for r, v in enumerate(order)}
+    return [x if x in true else -x for x in range(1, formula.num_vars + 1)]
+
+
+def _satisfies(f, formula, clauses):
+    """Whether coloring f satisfies every clause."""
+    lits = set(_model(f, formula))
     return all(not lits.isdisjoint(cl) for cl in clauses)
 
 
@@ -90,22 +97,56 @@ def _soundness_cases():
 
 def test_families_hold_on_every_graceful_coloring():
     # evaluated directly on the enumeration, with no SAT solver: families
-    # a-d3 state gracefulness and the degree units are implied by it
+    # a-d3 state gracefulness and the degree units are implied by it, and
+    # the assignment of a coloring decodes to the coloring
     for g, k in _soundness_cases():
-        formula = _families(encode_graceful(g, k))
+        formula = encode_graceful(g, k)
+        families = _families(formula)
         implied = [cl for name in ("a", "b", "c", "d2", "d3", "degree")
-                   for cl in formula[name]]
+                   for cl in families[name]]
         for f in enumerate_graceful_colorings(g, k):
-            assert _satisfies(f, implied), (g.edges(), k, f.colors)
+            assert _satisfies(f, formula, implied), (g.edges(), k, f.colors)
+            assert decode_model(formula, _model(f, formula)) == f
 
 
 def test_symmetry_clauses_keep_one_coloring_per_class():
     # reflection and twin order cut colorings, but some graceful coloring
     # survives them exactly when there is one
     for g, k in _soundness_cases():
-        clauses = encode_graceful(g, k).clauses
+        formula = encode_graceful(g, k)
         found = enumerate_graceful_colorings(g, k)
-        assert any(_satisfies(f, clauses) for f in found) == bool(found), (g.edges(), k)
+        assert any(_satisfies(f, formula, formula.clauses)
+                   for f in found) == bool(found), (g.edges(), k)
+
+
+def test_variables_are_numbered_breadth_first_from_the_root():
+    graphs = [gnp_graph(n, p, 4000 + i) for i, (n, p) in
+              enumerate((n, p) for n in (0, 1, 5, 9, 14) for p in (0.1, 0.25, 0.6))]
+    graphs += [star_graph(m) for m in range(4)] + [cubic_graph(n, s) for n in (8, 20)
+                                                   for s in range(3)]
+    assert any(0 in map(len, g.adjacency) for g in graphs)  # isolated vertices
+    for g in graphs:
+        order = _breadth_first(g)
+        assert sorted(order) == list(range(g.n))
+        rank = {v: r for r, v in enumerate(order)}
+        if g.n:
+            assert order[0] == max(range(g.n), key=g.degree)  # the reflection root
+        # a vertex with no earlier neighbour starts a component, at its lowest
+        # index once the root's is done; every other vertex follows its parent,
+        # its earliest neighbour, in order of (parent, index)
+        previous = (-1, -1)
+        for r, v in enumerate(order):
+            parent = min((rank[u] for u in g.adjacency[v]), default=r)
+            if parent < r:
+                assert (parent, v) > previous, (g.edges(), order)
+                previous = (parent, v)
+                continue
+            component, todo = {v}, [v]
+            while todo:
+                todo += [u for u in g.adjacency[todo.pop()] if u not in component]
+                component.update(todo)
+            assert all(rank[u] >= r for u in component), (g.edges(), order)
+            assert r == 0 or v == min(component), (g.edges(), order)
 
 
 def test_equivalence_with_native_solver():

@@ -1,12 +1,13 @@
 from collections import deque
+from itertools import combinations
 
 import pytest
 
 from graceful import (Graph, GraphFormatError, complete_graph, cubic_graph,
                       cycle_graph, degeneracy, gnp_graph, hypercube_graph,
-                      parse_edge_list, parse_graph6, path_graph, square,
-                      star_graph, structural_report, write_graph6)
-from graceful.graph import SplitMix64, complete_bipartite
+                      parse_edge_list, parse_graph6, path_graph, petersen_graph,
+                      square, star_graph, structural_report, write_graph6)
+from graceful.graph import SplitMix64, complete_bipartite, square_clique
 from graceful.reductions import nae_reduce, smallest_e4_instance
 from graceful.solve import _graceful_bans
 
@@ -138,6 +139,23 @@ def test_square_is_distance_one_or_two():
         assert g.square_adjacency == near
         assert square(g) == Graph.from_edges(
             g.n, [(u, v) for u in range(g.n) for v in near[u] if u < v])
+
+
+def test_square_clique_is_a_maximal_clique_of_the_square():
+    graphs = [gnp_graph(n, p, 700 + seed) for n in (0, 1, 6, 15, 30)
+              for p in (0.05, 0.2, 0.5) for seed in range(3)]
+    graphs += [cubic_graph(n, seed) for n in (8, 20, 60) for seed in range(3)]
+    for g in graphs:
+        clique = square_clique(g)
+        near = [set(a) for a in g.square_adjacency]
+        assert len(set(clique)) == len(clique) and bool(clique) == bool(g.n)
+        assert all(v in near[u] for u, v in combinations(clique, 2)), g.edges()
+        # maximal: no vertex outside it is adjacent in G^2 to all of it
+        assert not any(set(clique) <= near[w] for w in range(g.n)), g.edges()
+    assert len(square_clique(petersen_graph())) == 10  # diameter 2: G^2 = K_10
+    assert len(square_clique(star_graph(6))) == 7
+    assert square_clique(cycle_graph(5)) == (0, 1, 2, 3, 4)
+    assert square_clique(path_graph(4)) == (0, 1, 2)
 
 
 def test_twin_classes_match_pairwise_definition():
