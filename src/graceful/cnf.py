@@ -161,9 +161,9 @@ def encode_graceful(g: Graph, k: int) -> CnfFormula:
     emit("d3", ((-(base[u] + cu), -(base[mid] + (cu + cw) // 2), -(base[w] + cw))
                 for mid in range(n) for u, w in combinations(sorted(adj[mid]), 2)
                 for cu in colors for cw in colors if cu != cw and not (cu + cw) % 2))
-    degree, reflection = _graceful_bans(g, k)
-    emit("degree", ((-(base[v] + c),) for v, c in degree))
-    emit("reflection", ((-(base[v] + c),) for v, c in reflection))
+    degree, root, reflection = _graceful_bans(g, k)
+    emit("degree", ((-(base[v] + c),) for v, r in enumerate(degree) for c in r))
+    emit("reflection", ((-(base[root] + c),) for c in (reflection if n else ())))
     emit("twin", ((-(base[ti] + c), -(base[tj] + c2))
                   for v, t in enumerate(g.twin_classes) if t and t[0] == v
                   for ti, tj in combinations(t, 2)

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import reduce
-from itertools import product
+from itertools import chain, product
 from operator import or_
 from typing import Callable, Iterator
 
@@ -67,23 +67,36 @@ class InternalConsistencyError(AssertionError):
 
 def _reflection_root(g: Graph) -> int | None:
     """The lowest-index vertex of maximum degree, or None if g is empty."""
-    return max(range(g.n), key=lambda v: len(g.adjacency[v]), default=None)
+    degrees = list(map(len, g.adjacency))
+    return degrees.index(max(degrees)) if degrees else None
 
 
-def _graceful_bans(g: Graph, k: int) -> tuple[list[tuple[int, int]], list[tuple[int, int]]]:
-    """The (vertex, color) pairs ruled out before a graceful k-coloring
-    search, which it starts from and the CNF encoder emits as clauses:
-    degree, as color c offers max(c-1, k-c) distinct difference labels and
-    v needs d(v) of them; and reflection, capping the root r, the
-    lowest-index vertex of maximum degree, at ceil(k/2), as c -> k+1-c maps
+def _graceful_bans(g: Graph, k: int) -> tuple[list[range], int | None, range]:
+    """The colors ruled out before a graceful k-coloring search, which it
+    starts from and the CNF encoder emits as clauses, as (degree, r,
+    reflection): degree[v], as color c offers max(c-1, k-c) distinct
+    difference labels and v needs d(v) of them; and reflection, capping
+    the root r = _reflection_root(g) at ceil(k/2), as c -> k+1-c maps
     graceful colorings to graceful colorings."""
-    adj = g.adjacency
+    degrees = list(map(len, g.adjacency))
     # max(c-1, k-c) < d exactly for c in [k-d+1, d]
-    degree = [(v, c) for v in range(g.n)
-              for c in range(max(1, k - len(adj[v]) + 1), min(k, len(adj[v])) + 1)]
-    root = _reflection_root(g)
-    reflection = [] if root is None else [(root, c) for c in range((k + 1) // 2 + 1, k + 1)]
-    return degree, reflection
+    rule = {d: range(max(1, k - d + 1), min(k, d) + 1) for d in set(degrees)}
+    reflection = range((k + 1) // 2 + 1, k + 1)
+    return list(map(rule.__getitem__, degrees)), _reflection_root(g), reflection
+
+
+def _tie_order(g: Graph, graceful: bool) -> list[int]:
+    """The vertices in the order that breaks branching ties: highest degree
+    (in g for graceful, in G^2 otherwise), then, for graceful, the lowest sum
+    of neighbour degrees, then the lowest index."""
+    adj = g.adjacency
+    if graceful:
+        degree = list(map(len, adj))
+        n2 = g.n * g.n  # above any sum of neighbour degrees
+        rank = [sum(map(degree.__getitem__, a)) - d * n2 for a, d in zip(adj, degree)]
+    else:
+        rank = [-len(a) for a in g.square_adjacency]
+    return sorted(range(g.n), key=rank.__getitem__)
 
 
 def _colorings(g: Graph, k: int, budget: SearchBudget, tally: list[int],
@@ -96,8 +109,11 @@ def _colorings(g: Graph, k: int, budget: SearchBudget, tally: list[int],
     & Sais, ECAI 2004): each vertex has a weight, raised by one whenever it is
     picked with no allowed color left (a wipeout), and kept on backtracking.
     The branching vertex has the fewest allowed colors, then the highest
-    weight, then the highest degree (in g for graceful, in G^2 otherwise),
-    then the lowest index, so vertices that keep failing are tried early.
+    weight, then the earliest place in _tie_order (highest degree, in g for
+    graceful and in G^2 otherwise; for graceful the lowest sum of neighbour
+    degrees; lowest index), so vertices that keep failing are tried early.
+    In a regular graph every vertex has degree d and neighbour-degree sum
+    d*d, so the order is the index order.
     With symmetric, one coloring per symmetry class survives.  Distance-two
     search opens at most one new color per node (color interchange).
     Graceful search starts from the degree bans of _graceful_bans, which
@@ -129,7 +145,8 @@ def _colorings(g: Graph, k: int, budget: SearchBudget, tally: list[int],
     first stands, reason and all, until its frame undoes the trail to the
     mark it took.  dom[v] counts v's allowed colors; live[a] holds the
     uncolored vertices not yet picked with dom == a, and branching takes the
-    least key = (-weight, -degree, index) in the first non-empty bucket.
+    least key = rank - weight*n in the first non-empty bucket, rank being
+    the place in _tie_order, built once per search.
 
     Distance-two search reads G^2 (Graph.square_adjacency) for its bans.
     Graceful search never builds it: it bans c at each uncolored w on the
@@ -159,17 +176,25 @@ def _colorings(g: Graph, k: int, budget: SearchBudget, tally: list[int],
     adj = g.adjacency
     twins = g.twin_classes if graceful and symmetric else [()] * n
     K = k + 1
-    ban = [0] * (n * K + 1)  # slot v*K, and one past the last vertex, stay 0
     if graceful:
-        degree_bans, reflection = _graceful_bans(g, k)
-        for v, c in degree_bans + (reflection if symmetric else []):
-            ban[v * K + c] = 1
+        banned, root, reflection = _graceful_bans(g, k)
+        rows = {r: [int(c in r) for c in range(K)] for r in set(banned)}
+        ban = list(chain.from_iterable(map(rows.__getitem__, banned)))
+        dom = [k - len(r) for r in banned]
+        if symmetric and root is not None:
+            ban[root * K + reflection.start:root * K + reflection.stop] = [1] * len(reflection)
+            dom[root] = K - 1 - sum(ban[root * K + 1:root * K + K])
     else:
         near = g.square_adjacency
-    degree = [len(a) for a in (adj if graceful else near)]
-    key = [v - degree[v] * n for v in range(n)]  # minus n*n per wipeout: degree < n
-    dom = [K - 1 - sum(ban[v * K + 1:v * K + K]) for v in range(n)]
-    live = [{v for v in range(n) if dom[v] == a} for a in range(K)]
+        ban = [0] * (n * K)
+        dom = [k] * n
+    ban.append(0)  # slot v*K, and one past the last vertex, stay 0
+    key = [0] * n
+    for rank, v in enumerate(_tie_order(g, graceful)):
+        key[v] = rank  # minus n per wipeout: rank < n
+    live = [set() for _ in range(K)]
+    for v, a in enumerate(dom):
+        live[a].add(v)
     col = [0] * n
     lb = [0] * n
     conf = [0] * n
@@ -245,7 +270,7 @@ def _colorings(g: Graph, k: int, budget: SearchBudget, tally: list[int],
         v = min(bucket, key=key.__getitem__)
         bucket.remove(v)
         if bucket is live[0]:
-            key[v] -= n * n
+            key[v] -= n
         return [v, 0, cap, len(trail)]
 
     # under the distance-two cap a frame may open one color above the
@@ -375,19 +400,25 @@ def distance_two_chromatic_number(g: Graph,
 
 def graceful_chromatic_number(g: Graph,
                               budget: SearchBudget = SearchBudget()) -> OptimumResult:
-    """chi_g(G), iterating k upward from the lower bound chi(G^2).  A 'no'
-    at the proven ceiling a(chi(G^2)) is a defect, never silently accepted;
-    the ceiling is only consulted where a(n) is in reach (n <= MAX_N = 20),
-    and the node budget bounds the loop everywhere.  The first refuted k
-    computes a(chi(G^2)) if it is not memoised, which the node budget does
-    not count: cold, a(20) takes a few seconds."""
+    """chi_g(G), iterating k upward from the lower bound
+    max(q, delta + ceil(q/2)), where q = chi(G^2) and delta is the minimum
+    degree.  Proof: in a graceful k-coloring f, v needs d(v) >= delta
+    distinct labels, all in 1..max(f(v)-1, k-f(v)), so f(v) lies in
+    [1, k-delta] or [delta+1, k], a set of min(k, 2(k-delta)) colors; f is
+    also a coloring of G^2, so q <= 2(k-delta).  A 'no' at the proven
+    ceiling a(q) is a defect, never silently accepted; the ceiling is only
+    consulted where a(n) is in reach (n <= MAX_N = 20), and the node budget
+    bounds the loop everywhere.  The first refuted k computes a(q) if it is
+    not memoised, which the node budget does not count: cold, a(20) takes a
+    few seconds."""
     if g.n == 0:
         return OptimumResult("ok", 0, None, 0)
     lower = distance_two_chromatic_number(g, budget)
     if lower.status != "ok":
         return OptimumResult("unknown", None, None, lower.nodes)
     q = lower.value
-    return _least_k(g, q, budget, lower.nodes, True,
+    start = max(q, min(map(len, g.adjacency)) + (q + 1) // 2)
+    return _least_k(g, start, budget, lower.nodes, True,
                     lambda k: q <= MAX_N and k >= a_of_n(q)[0])
 
 

@@ -250,7 +250,7 @@ def test_reduce_nae_graph6_feeds_decide(capsys, tmp_path):
     g.write_text(payload["graph6"] + "\n")
     code, payload = run(capsys, "decide", "--k", "4", "--budget", "3000", str(g))
     assert code == 0 and payload["answer"] == "yes"
-    assert payload["nodes_searched"] == 196
+    assert payload["nodes_searched"] == 130
 
 
 def test_check_nae_nine_variables_is_undecided(capsys, tmp_path):

@@ -8,13 +8,18 @@ alter the order must say so and update the pins.
 
 The native search branches on the vertex with the fewest allowed colors,
 then the most wipeouts so far (dom/wdeg), then the highest degree, then
-the lowest index, and at a dead end it jumps back to the deepest
-assignment the dead end depends on; the reduced NAE-3SAT-E4 pins are the
-ones these rules move most, from 252 vertices (six variables) to 882
-(twenty-one).  Graceful search also colors each class of twins in
-increasing order, which moves the counts of graphs with twins only: the
-complete graphs here, not the reduced NAE-3SAT-E4, cubic, Petersen or Q_3
-pins.  The CDCL pins are of formulas that carry the same three rules as
+(graceful only) the lowest sum of neighbour degrees, then the lowest
+index, and at a dead end it jumps back to the deepest assignment the dead
+end depends on; the reduced NAE-3SAT-E4 pins are the ones these rules
+move most, from 252 vertices (six variables) to 882 (twenty-one).  On a
+regular graph every vertex ties on degree and on neighbour-degree sum,
+so the cubic, Petersen, Q_3 and K_q searches are those of the
+lowest-index tie-break.  chi_g starts from max(chi(G^2), minimum degree
++ ceil(chi(G^2)/2)), which skips refuted k's: Q_3 at k = 4 and K_q below
+q - 1 + ceil(q/2), so their chig counts are the sums of fewer searches.
+Graceful search also colors each class of twins in increasing order,
+which moves the counts of graphs with twins only: the complete graphs
+here, not the reduced NAE-3SAT-E4, cubic, Petersen or Q_3 pins.  The CDCL pins are of formulas that carry the same three rules as
 clauses (degree, reflection and twin order; see graceful.cnf), which cut
 their refutations most: K_6 at k = 10 took 1,980 decisions without
 them.  Their variables are numbered breadth first from the root, so the
@@ -40,21 +45,21 @@ def _decided(g, k, budget):
 
 def test_reduced_e4_3_at_k4():
     g = nae_reduce(smallest_e4_instance()).graph
-    assert _decided(g, 4, 3000) == ("yes", 196)
+    assert _decided(g, 4, 3000) == ("yes", 130)
 
 
 @pytest.mark.parametrize("i", range(3))
 def test_reduced_e4_6(e4_6, i):
     g = nae_reduce(e4_6[i]).graph
-    assert _decided(g, 4, 1500) == ("yes", (634, 671, 731)[i])
-    assert _decided(g, 5, 1500) == ("yes", (256, 254, 255)[i])
+    assert _decided(g, 4, 1500) == ("yes", (411, 536, 873)[i])
+    assert _decided(g, 5, 1500) == ("yes", (252, 252, 252)[i])
 
 
 def test_reduced_e4_6_full_decision(e4_6):
     g = nae_reduce(e4_6[0]).graph
     # a larger budget changes no node count, as the search stops at its first
     # coloring and picks its vertices with no regard to the budget
-    assert _decided(g, 4, 50000) == ("yes", 634)
+    assert _decided(g, 4, 50000) == ("yes", 411)
 
 
 def test_reduced_e4_18_at_k4(e4_6):
@@ -64,14 +69,14 @@ def test_reduced_e4_18_at_k4(e4_6):
                                for i, f in enumerate(e4_6) for cl in f.clauses])
     g = nae_reduce(phi).graph
     assert g.n == 756
-    assert _decided(g, 4, 10000) == ("yes", 4546)
+    assert _decided(g, 4, 10000) == ("yes", 2743)
 
 
 def test_reduced_e4_9_unsat_at_k4(e4_9_unsat):
     # NAE-unsatisfiable, so 'no' needs the whole tree: the budget must hold it
     results = [check_nae_reduction(phi, SearchBudget(100_000)) for phi in e4_9_unsat]
     assert [(r.status, r.details["graceful_4"], r.details["nodes"]) for r in results] == [
-        ("consistent", "no", 6642), ("consistent", "no", 9427)]
+        ("consistent", "no", 5541), ("consistent", "no", 8254)]
 
 
 # the pairing-model NAE-3SAT-E4 formula on 12 variables with seed 0
@@ -81,7 +86,7 @@ E4_12 = NaeFormula.make(12, (
     (3, 9, 11), (2, 7, 8), (2, 4, 6), (5, 8, 11), (4, 6, 9), (6, 7, 11), (0, 5, 10), (1, 9, 11)))
 
 
-@pytest.mark.parametrize("nine_first, nodes", [(False, 22930), (True, 9762)],
+@pytest.mark.parametrize("nine_first, nodes", [(False, 13199), (True, 7161)],
                          ids=["nae12-first", "nae9-first"])
 def test_reduced_union_in_both_orders(e4_9_unsat, nine_first, nodes):
     # the NAE-9 refutation must be found again under every assignment of the
@@ -139,7 +144,7 @@ def test_dpll_nodes(g, k, expected):
 
 @pytest.mark.parametrize("g, chi2, chig", [
     (petersen_graph(), (10, 10), (10, 20)),
-    (hypercube_graph(3), (4, 8), (5, 18)),
+    (hypercube_graph(3), (4, 8), (5, 16)),
 ])
 def test_chromatic_numbers(g, chi2, chig):
     res = distance_two_chromatic_number(g)
@@ -160,7 +165,7 @@ def test_square_clique_decides_chi2_of_a_cubic_graph():
 # chi_g(K_q) = a(q).  All of K_q is one twin class, colored in increasing
 # order; with the reflection cap alone, K_8 ran past 50,000 nodes.  The
 # distance-two search breaks no twin symmetry: chi(K_q^2) = q in q nodes.
-COMPLETE_GRAPHS = {5: (9, 127), 6: (11, 283), 7: (13, 626), 8: (14, 664), 9: (20, 10092)}
+COMPLETE_GRAPHS = {5: (9, 113), 6: (11, 270), 7: (13, 582), 8: (14, 620), 9: (20, 9966)}
 
 
 @pytest.mark.parametrize("q", COMPLETE_GRAPHS)

@@ -17,7 +17,7 @@ from graceful import (Graph, SearchBudget, VertexColoring, bounds,
 from graceful.graph import SplitMix64
 from graceful.reductions import (clause_gadget, nae_reduce, smallest_e4_instance,
                                  variable_gadget)
-from graceful.solve import _graceful_bans
+from graceful.solve import _graceful_bans, _least_k, _tie_order
 
 
 def test_distance_two_c4():
@@ -64,6 +64,37 @@ def test_chromatic_number_complete_graphs():
 def test_empty_graph_graceful_chromatic_number():
     assert graceful_chromatic_number(Graph.from_edges(3, [])).value == 1
     assert graceful_chromatic_number(Graph.from_edges(0, [])).value == 0
+
+
+def _chig_floor(g, q):
+    """max(q, delta + ceil(q/2)), the lower bound on chi_g that
+    graceful_chromatic_number starts from, with q = chi(G^2)."""
+    return max(q, min(map(g.degree, range(g.n))) + (q + 1) // 2)
+
+
+def test_chig_floor_holds_by_bruteforce():
+    # no graceful coloring below the floor, where it says more than chi(G^2)
+    graphs = [complete_graph(q) for q in range(2, 6)] + [star_graph(4), cycle_graph(5)]
+    graphs += [gnp_graph(n, p, 40 * n + i) for n in range(2, 7) for p in (0.4, 0.7, 0.9)
+               for i in range(3)]
+    above = 0
+    for g in graphs:
+        q = distance_two_chromatic_number(g).value
+        floor = _chig_floor(g, q)
+        if floor > q:
+            above += 1
+            assert graceful_k_colorable_bruteforce(g, floor - 1).status == "no", g.edges()
+    assert above >= 10
+
+
+def test_chig_floor_changes_no_value():
+    # the same chi_g as iterating k upward from chi(G^2)
+    for i in range(100):
+        g = gnp_graph(4 + i % 7, (0.3, 0.5, 0.7, 0.9)[i % 4], 500 + i)
+        q = distance_two_chromatic_number(g).value
+        upward = _least_k(g, q, SearchBudget(), 0, True, lambda k: False)
+        res = graceful_chromatic_number(g)
+        assert (res.status, res.value) == ("ok", upward.value), g.edges()
 
 
 def test_budget_exhaustion_is_unknown():
@@ -182,6 +213,33 @@ def test_distance_two_matches_exhaustive_search():
             assert distance_two_k_colorable(g, k).yes == expected, (g.edges(), k)
 
 
+def test_tie_order_is_the_index_order_on_regular_graphs():
+    # every vertex has degree d and neighbour-degree sum d*d, so a regular
+    # graph keeps the search tree of the lowest-index tie-break
+    graphs = ([cubic_graph(n, seed) for n in (12, 16, 20) for seed in range(3)]
+              + [complete_graph(q) for q in range(1, 8)] + [cycle_graph(n) for n in (3, 7)]
+              + [petersen_graph(), hypercube_graph(3)])
+    for g in graphs:
+        assert _tie_order(g, True) == list(range(g.n)), g.edges()
+
+
+def test_tie_order_of_a_star_and_a_path():
+    assert _tie_order(star_graph(4), True) == [0, 1, 2, 3, 4]
+    assert _tie_order(Graph.from_edges(5, [(4, v) for v in range(4)]), True) == [4, 0, 1, 2, 3]
+    # 1 and 3 have degree 2 and neighbour-degree sum 3, and 2 has sum 4
+    assert _tie_order(path_graph(5), True) == [1, 3, 2, 0, 4]
+
+
+def test_tie_order_matches_definition():
+    for i in range(30):
+        g = gnp_graph(4 + i % 9, 0.3, 700 + i)
+        deg, sq = g.degree, g.square_adjacency
+        assert _tie_order(g, True) == sorted(
+            range(g.n), key=lambda v: (-deg(v), sum(map(deg, g.adjacency[v])), v))
+        # distance-two search breaks ties by G^2 degree, then index
+        assert _tie_order(g, False) == sorted(range(g.n), key=lambda v: (-len(sq[v]), v))
+
+
 def test_degree_bans_match_definition():
     # max(c-1, k-c) < d(v): color c offers too few difference labels for v
     graphs = ([cubic_graph(10, 0), gnp_graph(9, 0.5, 3), star_graph(6), complete_graph(7),
@@ -189,9 +247,10 @@ def test_degree_bans_match_definition():
               + [nae_reduce(smallest_e4_instance()).graph])
     for g in graphs:
         for k in range(1, 25):
-            degree, _ = _graceful_bans(g, k)
-            assert degree == [(v, c) for v in range(g.n) for c in range(1, k + 1)
-                              if max(c - 1, k - c) < g.degree(v)], (g.edges(), k)
+            degree, _, _ = _graceful_bans(g, k)
+            assert [list(r) for r in degree] == [
+                [c for c in range(1, k + 1) if max(c - 1, k - c) < g.degree(v)]
+                for v in range(g.n)], (g.edges(), k)
 
 
 TWIN_RICH = ([star_graph(m) for m in range(1, 7)]
