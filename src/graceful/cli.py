@@ -16,7 +16,8 @@ import sys
 
 from . import cnf, reductions, sequences, solve
 from .coloring import VertexColoring, is_distance_two_coloring, is_graceful_coloring
-from .graph import Graph, generate, parse_edge_list, parse_graph6, write_graph6
+from .graph import (GENERATORS, Graph, generate, parse_edge_list, parse_graph6,
+                    write_graph6)
 
 SCHEMA = 1
 
@@ -284,7 +285,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_bounds)
 
     p = sub.add_parser("gen", help="generate a named graph, print graph6")
-    p.add_argument("kind", choices=("complete", "path", "cycle", "star", "gnp", "cubic"))
+    p.add_argument("kind", choices=tuple(GENERATORS))
     p.add_argument("params", nargs="*")
     p.set_defaults(fn=cmd_gen)
 

@@ -122,7 +122,7 @@ def _breadth_first(g: Graph) -> list[int]:
         seen[start] = True
         order.append(start)
         while head < len(order):
-            for w in sorted(g.adjacency[order[head]]):
+            for w in g.adjacency[order[head]]:
                 if not seen[w]:
                     seen[w] = True
                     order.append(w)
@@ -159,7 +159,7 @@ def encode_graceful(g: Graph, k: int) -> CnfFormula:
                 for v in near[u] if u < v and v not in adj[u] for c in colors))
     # equal-difference triples on paths u - mid - w with distinct endpoint colors
     emit("d3", ((-(base[u] + cu), -(base[mid] + (cu + cw) // 2), -(base[w] + cw))
-                for mid in range(n) for u, w in combinations(sorted(adj[mid]), 2)
+                for mid in range(n) for u, w in combinations(adj[mid], 2)
                 for cu in colors for cw in colors if cu != cw and not (cu + cw) % 2))
     degree, root, reflection = _graceful_bans(g, k)
     emit("degree", ((-(base[v] + c),) for v, r in enumerate(degree) for c in r))
@@ -279,8 +279,6 @@ def internal_sat(formula: CnfFormula,
     more.  The search keeps its own state, so its depth is not bounded by
     the interpreter's recursion limit."""
     n = formula.num_vars
-    if any(not cl for cl in formula.clauses):
-        return SatResult("unsat", None, 0)
     # value[lit] is 1 if lit is true, -1 if false, 0 if open; with the list
     # 2n + 1 long, value[-v] sits at index 2n + 1 - v.  level, reason and
     # seen are indexed the same way and read at the literal that is true.
@@ -391,6 +389,8 @@ def internal_sat(formula: CnfFormula,
         elif len(cl) == 2:
             implied[cl[0]].append(cl[1])
             implied[cl[1]].append(cl[0])
+        elif not cl:
+            return SatResult("unsat", None, 0)
         elif value[cl[0]] == -1:
             conflict = cl
         elif not value[cl[0]]:

@@ -71,7 +71,7 @@ def _first_violation(g: Graph, f: VertexColoring, kind: str, value) -> Violation
             return Violation("edge", u, v)
     for v in range(g.n):
         seen: dict[int, int] = {}
-        for u in sorted(g.adjacency[v]):
+        for u in g.adjacency[v]:
             x = value(u, v)
             if x in seen:
                 return Violation(kind, seen[x], u, via=v)

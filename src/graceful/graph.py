@@ -11,7 +11,7 @@ import heapq
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Iterable
 
 
 class GraphFormatError(ValueError):
@@ -20,13 +20,15 @@ class GraphFormatError(ValueError):
 
 @dataclass(frozen=True)
 class Graph:
-    """Simple undirected graph on vertices 0..n-1 with adjacency sets.
+    """Simple undirected graph on vertices 0..n-1.  adjacency[v] holds v's
+    neighbours in increasing order as a tuple, a fraction of a frozenset's
+    memory, so every walk over N(v) visits it in index order.
 
     G^2 and the twin classes are computed on first use and cached on the
     object; equality and hashing read only n and adjacency."""
 
     n: int
-    adjacency: tuple[frozenset[int], ...]
+    adjacency: tuple[tuple[int, ...], ...]
 
     @staticmethod
     def from_edges(n: int, edges: Iterable[tuple[int, int]]) -> "Graph":
@@ -42,7 +44,7 @@ class Graph:
                 raise ValueError(f"duplicate edge ({u},{v})")
             adj[u].add(v)
             adj[v].add(u)
-        return Graph(n, tuple(frozenset(s) for s in adj))
+        return Graph(n, tuple(tuple(sorted(s)) for s in adj))
 
     @property
     def m(self) -> int:
@@ -53,8 +55,7 @@ class Graph:
 
     def edges(self) -> list[tuple[int, int]]:
         """Edge list, each edge (u,v) with u < v, sorted."""
-        return [(u, v) for u in range(self.n)
-                for v in sorted(self.adjacency[u]) if u < v]
+        return [(u, v) for u, a in enumerate(self.adjacency) for v in a if u < v]
 
     def has_edge(self, u: int, v: int) -> bool:
         return v in self.adjacency[u]
@@ -62,13 +63,11 @@ class Graph:
     @cached_property
     def square_adjacency(self) -> tuple[tuple[int, ...], ...]:
         """Adjacency of G^2: for each vertex, the vertices at distance 1 or 2
-        in increasing order.  Tuples, not frozensets: the cache lives as long
-        as the graph, and a tuple of ints takes a fraction of the memory.
-        Read by the distance-two search (solve._colorings), the CNF encoder
-        (cnf.encode_graceful), square() and square_clique(); graceful search
-        never builds it."""
+        in increasing order, the form of adjacency.  Read by the distance-two
+        search (solve._colorings), the CNF encoder (cnf.encode_graceful),
+        square() and square_clique(); graceful search never builds it."""
         adj = self.adjacency
-        return tuple(tuple(sorted(a.union(*(adj[u] for u in a)) - {v}))
+        return tuple(tuple(sorted(set(a).union(*(adj[u] for u in a)) - {v}))
                      for v, a in enumerate(adj))
 
     @cached_property
@@ -77,12 +76,13 @@ class Graph:
         included, or () if it has no twin.  Twins are vertices of degree
         >= 1 with the same open neighbourhood N(v) or the same closed one
         N[v]; no vertex has twins of both kinds, and no open neighbourhood
-        equals a closed one, so one dict of frozensets finds both."""
-        classes: dict[frozenset[int], list[int]] = {}
+        equals a closed one, so one dict finds both, keyed by the adjacency
+        tuple for N(v) and by a frozenset for N[v]."""
+        classes: dict[tuple[int, ...] | frozenset[int], list[int]] = {}
         for v, a in enumerate(self.adjacency):
             if a:
                 classes.setdefault(a, []).append(v)
-                classes.setdefault(a | {v}, []).append(v)
+                classes.setdefault(frozenset(a + (v,)), []).append(v)
         twins: list[tuple[int, ...]] = [()] * self.n
         for members in classes.values():
             if len(members) > 1:
@@ -157,14 +157,15 @@ def write_graph6(g: Graph) -> str:
     """Encode a Graph as a graph6 line (requires n <= 258047)."""
     if g.n > _GRAPH6_MAX_N:
         raise ValueError(f"n={g.n} exceeds graph6 range (n <= {_GRAPH6_MAX_N})")
-    adj = g.adjacency
-    bits = "".join("1" if u in adj[v] else "0" for v in range(1, g.n) for u in range(v))
-    bits += "0" * (-len(bits) % 6)
+    nbits = g.n * (g.n - 1) // 2
+    bits = ["0"] * (nbits + -nbits % 6)
+    for u, v in g.edges():
+        bits[v * (v - 1) // 2 + u] = "1"
     if g.n < 63:
         out = [chr(g.n + 63)]
     else:
         out = ["~"] + [chr((g.n >> shift & 63) + 63) for shift in (12, 6, 0)]
-    out += [chr(int(bits[i:i + 6], 2) + 63) for i in range(0, len(bits), 6)]
+    out += [chr(int("".join(bits[i:i + 6]), 2) + 63) for i in range(0, len(bits), 6)]
     return "".join(out)
 
 
@@ -210,7 +211,7 @@ def write_edge_list(g: Graph) -> str:
 
 def square(g: Graph) -> Graph:
     """G^2: same vertices, edges between all pairs at distance 1 or 2."""
-    return Graph(g.n, tuple(map(frozenset, g.square_adjacency)))
+    return Graph(g.n, g.square_adjacency)
 
 
 def square_clique(g: Graph) -> tuple[int, ...]:
@@ -432,19 +433,22 @@ def cubic_graph(n: int, seed: int) -> Graph:
     raise RuntimeError(f"cubic generation failed after {CUBIC_RETRIES} retries")
 
 
+# generate() and `graceful gen`: kind -> (generator, parameter name -> type)
+GENERATORS = {
+    "complete": (complete_graph, {"n": int}),
+    "path": (path_graph, {"n": int}),
+    "cycle": (cycle_graph, {"n": int}),
+    "star": (star_graph, {"n": int}),
+    "gnp": (gnp_graph, {"n": int, "p": float, "seed": int}),
+    "cubic": (cubic_graph, {"n": int, "seed": int}),
+}
+
+
 def generate(kind: str, *args) -> Graph:
     """Named generator dispatch used by the CLI: e.g. generate('cycle', 5)."""
-    table = {
-        "complete": (complete_graph, {"n": int}),
-        "path": (path_graph, {"n": int}),
-        "cycle": (cycle_graph, {"n": int}),
-        "star": (star_graph, {"n": int}),
-        "gnp": (gnp_graph, {"n": int, "p": float, "seed": int}),
-        "cubic": (cubic_graph, {"n": int, "seed": int}),
-    }
-    if kind not in table:
+    if kind not in GENERATORS:
         raise ValueError(f"unknown graph kind {kind!r}")
-    make, params = table[kind]
+    make, params = GENERATORS[kind]
     if len(args) != len(params):
         raise ValueError(f"graph kind {kind!r} takes {len(params)} parameters "
                          f"({' '.join(params)}), got {len(args)}")

@@ -23,9 +23,8 @@ from typing import Callable
 
 from .coloring import VertexColoring, is_distance_two_coloring, is_graceful_coloring
 from .graph import Graph, degeneracy
-from .solve import (Decision, SearchBudget, UndecidedError,
-                    distance_two_k_colorable, enumerate_graceful_colorings,
-                    graceful_k_colorable)
+from .solve import (SearchBudget, UndecidedError, distance_two_k_colorable,
+                    enumerate_graceful_colorings, graceful_k_colorable)
 
 
 def _with_pendants(g: Graph, anchors) -> Graph:

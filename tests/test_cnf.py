@@ -243,6 +243,16 @@ def test_internal_sat_edges():
     assert internal_sat(CnfFormula(2, [(), (1, 2)])) == SatResult("unsat", None, 0)
 
 
+def test_internal_sat_empty_clause_after_units():
+    # the empty clause is met while the clauses load, after a unit clause
+    # was set, or after two unit clauses already conflict
+    unsat = SatResult("unsat", None, 0)
+    assert internal_sat(CnfFormula(2, [(1,), ()])) == unsat
+    assert internal_sat(CnfFormula(3, [(1,), (-2, 3), (1, 2, 3), ()])) == unsat
+    assert internal_sat(CnfFormula(2, [(1,), (-1,), ()])) == unsat
+    assert internal_sat(CnfFormula(2, [(2,), (1, 2), (-2,), (), (1,)])) == unsat
+
+
 def test_internal_sat_branches_on_smallest_unassigned_variable():
     # variable 2 is unassigned after 1 is set true, although its one clause is
     # satisfied: the search still branches on it, then on 3, so 3 nodes

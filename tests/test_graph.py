@@ -7,8 +7,9 @@ from graceful import (Graph, GraphFormatError, complete_graph, cubic_graph,
                       cycle_graph, degeneracy, gnp_graph, hypercube_graph,
                       parse_edge_list, parse_graph6, path_graph, petersen_graph,
                       square, star_graph, structural_report, write_graph6)
-from graceful.graph import SplitMix64, complete_bipartite, square_clique
-from graceful.reductions import nae_reduce, smallest_e4_instance
+from graceful.graph import (GENERATORS, SplitMix64, complete_bipartite, generate,
+                            prism_graph, square_clique)
+from graceful.reductions import construction1, nae_reduce, smallest_e4_instance
 from graceful.solve import _graceful_bans
 
 
@@ -41,6 +42,7 @@ def test_graph6_roundtrip_random():
         n = 1 + rng.randint(12)
         g = gnp_graph(n, 0.4, 1000 + i)
         s = write_graph6(g)
+        assert s == _graph6_by_has_edge(g)
         assert parse_graph6(s) == g
         assert write_graph6(parse_graph6(s)) == s
 
@@ -50,6 +52,7 @@ def test_graph6_long_form_roundtrip(n):
     g = gnp_graph(n, 0.1, n)
     s = write_graph6(g)
     assert s[0] == "~" and len(s) == 4 + (n * (n - 1) // 2 + 5) // 6
+    assert s == _graph6_by_has_edge(g)
     assert parse_graph6(s) == g
     assert write_graph6(parse_graph6(s)) == s
 
@@ -163,7 +166,7 @@ def test_twin_classes_match_pairwise_definition():
         adj = g.adjacency
 
         def twins(u, v):
-            return bool(adj[u]) and (adj[u] == adj[v] or adj[u] | {u} == adj[v] | {v})
+            return bool(adj[u]) and (adj[u] == adj[v] or {u, *adj[u]} == {v, *adj[v]})
 
         for v in range(g.n):
             expected = tuple(u for u in range(g.n) if u == v or twins(u, v))
@@ -199,7 +202,7 @@ def _min_peeling(g):
         d = max(d, deg[v])
         live.remove(v)
         order.append(v)
-        for u in g.adjacency[v] & live:
+        for u in live.intersection(g.adjacency[v]):
             deg[u] -= 1
     return d, order
 
@@ -236,6 +239,38 @@ def test_generators():
     assert structural_report(cycle_graph(5)).is_regular
     assert star_graph(4).n == 5
     assert hypercube_graph(3).m == 12
+
+
+def _assert_sorted_tuple_adjacency(g):
+    for adjacency in (g.adjacency, g.square_adjacency):
+        assert type(adjacency) is tuple and len(adjacency) == g.n
+        for v, a in enumerate(adjacency):
+            assert type(a) is tuple and all(type(u) is int for u in a), (v, a)
+            assert list(a) == sorted(set(a)) and v not in a, (v, a)
+            assert all(v in adjacency[u] for u in a), (v, a)
+
+
+def test_every_graph_has_sorted_tuple_adjacency():
+    rng = SplitMix64(31)
+    graphs = []
+    for i in range(20):
+        g = gnp_graph(2 + rng.randint(30), 0.3, 3100 + i)
+        edges = [(v, u) if rng.randint(2) else (u, v) for u, v in g.edges()]
+        rng.shuffle(edges)
+        shuffled = Graph.from_edges(g.n, edges)
+        assert shuffled == g
+        graphs += [g, shuffled, square(g)]
+    graphs += [parse_graph6(write_graph6(gnp_graph(n, 0.2, n))) for n in (9, 62, 63, 130)]
+    graphs.append(parse_edge_list("5 4\n4 0\n2 4\n3 1\n4 3\n"))
+    graphs.append(construction1(cubic_graph(10, 3), 7))
+    graphs.append(nae_reduce(smallest_e4_instance()).graph)
+    graphs += [complete_graph(5), path_graph(4), cycle_graph(6), star_graph(4),
+               complete_bipartite(2, 3), hypercube_graph(3), petersen_graph(),
+               prism_graph(), cubic_graph(20, 9), Graph.from_edges(0, [])]
+    args = {"gnp": ("8", "0.4", "2"), "cubic": ("8", "2")}
+    graphs += [generate(kind, *args.get(kind, ("7",))) for kind in GENERATORS]
+    for g in graphs:
+        _assert_sorted_tuple_adjacency(g)
 
 
 def test_cubic_generator_regular_and_deterministic():

@@ -46,7 +46,7 @@ def test_construction1_counts():
 def test_construction1_leaf_layout():
     # the leaves of v are n + v(k-5) .. n + (v+1)(k-5) - 1
     out = construction1(cubic_graph(8, seed=4), 7)
-    assert all(out.adjacency[8 + 2 * v + i] == {v} for v in range(8) for i in range(2))
+    assert all(out.adjacency[8 + 2 * v + i] == (v,) for v in range(8) for i in range(2))
 
 
 def test_construction1_rejects_non_cubic():
