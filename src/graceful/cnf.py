@@ -158,11 +158,13 @@ def encode_graceful(g: Graph, k: int) -> CnfFormula:
     emit("d2", ((-(base[u] + c), -(base[v] + c)) for u in range(n)
                 for v in near[u] if u < v and v not in adj[u] for c in colors))
     # equal-difference triples on paths u - mid - w with distinct endpoint colors
-    emit("d3", ((-(base[u] + cu), -(base[mid] + (cu + cw) // 2), -(base[w] + cw))
+    triples = [(cu, (cu + cw) // 2, cw) for cu in colors for cw in colors
+               if cu != cw and not (cu + cw) % 2]
+    emit("d3", ((-(base[u] + cu), -(base[mid] + cm), -(base[w] + cw))
                 for mid in range(n) for u, w in combinations(adj[mid], 2)
-                for cu in colors for cw in colors if cu != cw and not (cu + cw) % 2))
+                for cu, cm, cw in triples))
     degree, root, reflection = _graceful_bans(g, k)
-    emit("degree", ((-(base[v] + c),) for v, r in enumerate(degree) for c in r))
+    emit("degree", ((-(base[v] + c),) for v, a in enumerate(adj) for c in degree[len(a)]))
     emit("reflection", ((-(base[root] + c),) for c in (reflection if n else ())))
     emit("twin", ((-(base[ti] + c), -(base[tj] + c2))
                   for v, t in enumerate(g.twin_classes) if t and t[0] == v

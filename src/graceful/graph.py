@@ -230,29 +230,40 @@ def square_clique(g: Graph) -> tuple[int, ...]:
 
 def degeneracy(g: Graph) -> tuple[int, list[int]]:
     """Degeneracy by repeated minimum-degree peeling, the lowest index first
-    among equal degrees.  A heap keyed on (degree, vertex) with lazy deletion
-    finds each minimum in O(log n): a stale entry, left behind when a degree
-    fell, is skipped when it surfaces.
+    among equal degrees (smallest-last order; Matula & Beck, JACM 1983).
+    heaps[e] is a heap of vertex indices, each pushed when its degree fell to
+    e; an entry whose vertex has since been peeled or fallen further is
+    skipped when it surfaces.  A peel lowers degrees by at most one, so the
+    least non-empty degree lo steps down by at most one per peel and the
+    scan up from it costs O(n + max degree) in all, O((n + m) log n) with
+    the heaps.
 
     Returns (d, order) where order is the elimination order used.
     """
-    deg = [g.degree(v) for v in range(g.n)]
-    removed = [False] * g.n
-    heap = [(d, v) for v, d in enumerate(deg)]
-    heapq.heapify(heap)
-    order = []
-    d = 0
-    while heap:
-        dv, v = heapq.heappop(heap)
-        if removed[v] or dv != deg[v]:
+    deg = list(map(len, g.adjacency))
+    heaps: list[list[int]] = [[] for _ in range(max(deg, default=0) + 1)]
+    for v, e in enumerate(deg):
+        heaps[e].append(v)  # increasing, so already a heap
+    order: list[int] = []
+    d = lo = 0
+    while len(order) < g.n:
+        heap = heaps[lo]
+        if not heap:
+            lo += 1
             continue
-        d = max(d, dv)
-        removed[v] = True
+        v = heapq.heappop(heap)
+        if deg[v] != lo:
+            continue  # stale: peeled (deg -1) or fallen below lo since
+        if lo > d:
+            d = lo
+        deg[v] = -1
         order.append(v)
         for u in g.adjacency[v]:
-            if not removed[u]:
+            if deg[u] > 0:  # live: its edge to v still counts
                 deg[u] -= 1
-                heapq.heappush(heap, (deg[u], u))
+                heapq.heappush(heaps[deg[u]], u)
+        if lo:
+            lo -= 1
     return d, order
 
 

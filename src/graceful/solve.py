@@ -71,18 +71,18 @@ def _reflection_root(g: Graph) -> int | None:
     return degrees.index(max(degrees)) if degrees else None
 
 
-def _graceful_bans(g: Graph, k: int) -> tuple[list[range], int | None, range]:
+def _graceful_bans(g: Graph, k: int) -> tuple[dict[int, range], int | None, range]:
     """The colors ruled out before a graceful k-coloring search, which it
     starts from and the CNF encoder emits as clauses, as (degree, r,
-    reflection): degree[v], as color c offers max(c-1, k-c) distinct
-    difference labels and v needs d(v) of them; and reflection, capping
-    the root r = _reflection_root(g) at ceil(k/2), as c -> k+1-c maps
-    graceful colorings to graceful colorings."""
-    degrees = list(map(len, g.adjacency))
+    reflection): degree[d], for each degree d in g, the colors banned at
+    every vertex of degree d, as color c offers max(c-1, k-c) distinct
+    difference labels and such a vertex needs d of them; and reflection,
+    capping the root r = _reflection_root(g) at ceil(k/2), as c -> k+1-c
+    maps graceful colorings to graceful colorings."""
     # max(c-1, k-c) < d exactly for c in [k-d+1, d]
-    rule = {d: range(max(1, k - d + 1), min(k, d) + 1) for d in set(degrees)}
+    degree = {d: range(max(1, k - d + 1), min(k, d) + 1) for d in set(map(len, g.adjacency))}
     reflection = range((k + 1) // 2 + 1, k + 1)
-    return list(map(rule.__getitem__, degrees)), _reflection_root(g), reflection
+    return degree, _reflection_root(g), reflection
 
 
 def _tie_order(g: Graph, graceful: bool) -> list[int]:
@@ -143,10 +143,13 @@ def _colorings(g: Graph, k: int, budget: SearchBudget, tally: list[int],
     {v, u} for 2f(u) - c (v - u - w).  forbid sets and trails a ban only if
     it is unset; a repeat comes from the same frame or a deeper one, so the
     first stands, reason and all, until its frame undoes the trail to the
-    mark it took.  dom[v] counts v's allowed colors; live[a] holds the
-    uncolored vertices not yet picked with dom == a, and branching takes the
-    least key = rank - weight*n in the first non-empty bucket, rank being
-    the place in _tie_order, built once per search.
+    mark it took.  dom[v] counts v's allowed colors, and v's branching key
+    is key[v] = rank - weight*n, rank being its place in order =
+    _tie_order(...), built once per search; as 0 <= rank < n, key % n is
+    the rank.  live[a] holds the keys of the uncolored vertices not yet
+    picked with dom == a, and branching takes key = min(bucket) in the first
+    non-empty bucket and v = order[key % n].  Only a wipeout changes a key,
+    and only that of the vertex just picked, which sits in no bucket.
 
     Distance-two search reads G^2 (Graph.square_adjacency) for its bans.
     Graceful search never builds it: it bans c at each uncolored w on the
@@ -177,10 +180,12 @@ def _colorings(g: Graph, k: int, budget: SearchBudget, tally: list[int],
     twins = g.twin_classes if graceful and symmetric else [()] * n
     K = k + 1
     if graceful:
-        banned, root, reflection = _graceful_bans(g, k)
-        rows = {r: [int(c in r) for c in range(K)] for r in set(banned)}
-        ban = list(chain.from_iterable(map(rows.__getitem__, banned)))
-        dom = [k - len(r) for r in banned]
+        rule, root, reflection = _graceful_bans(g, k)
+        rows = {d: [int(c in r) for c in range(K)] for d, r in rule.items()}
+        allowed = {d: k - len(r) for d, r in rule.items()}
+        degrees = list(map(len, adj))
+        ban = list(chain.from_iterable(map(rows.__getitem__, degrees)))
+        dom = list(map(allowed.__getitem__, degrees))
         if symmetric and root is not None:
             ban[root * K + reflection.start:root * K + reflection.stop] = [1] * len(reflection)
             dom[root] = K - 1 - sum(ban[root * K + 1:root * K + K])
@@ -189,12 +194,12 @@ def _colorings(g: Graph, k: int, budget: SearchBudget, tally: list[int],
         ban = [0] * (n * K)
         dom = [k] * n
     ban.append(0)  # slot v*K, and one past the last vertex, stay 0
+    order = _tie_order(g, graceful)
     key = [0] * n
-    for rank, v in enumerate(_tie_order(g, graceful)):
-        key[v] = rank  # minus n per wipeout: rank < n
     live = [set() for _ in range(K)]
-    for v, a in enumerate(dom):
-        live[a].add(v)
+    for rank, v in enumerate(order):
+        key[v] = rank  # minus n per wipeout: rank < n
+        live[dom[v]].add(rank)
     col = [0] * n
     lb = [0] * n
     conf = [0] * n
@@ -205,9 +210,10 @@ def _colorings(g: Graph, k: int, budget: SearchBudget, tally: list[int],
         if not ban[i]:
             ban[i] = lb[x] | lb[y]
             trail.append(i)
-            live[dom[w]].remove(w)
+            kw = key[w]
+            live[dom[w]].remove(kw)
             dom[w] -= 1
-            live[dom[w]].add(w)
+            live[dom[w]].add(kw)
 
     def assign(v: int, c: int, bit: int) -> None:
         col[v] = c
@@ -217,9 +223,10 @@ def _colorings(g: Graph, k: int, budget: SearchBudget, tally: list[int],
                 if not col[w] and not ban[i := w * K + c]:
                     ban[i] = bit
                     trail.append(i)
-                    live[dom[w]].remove(w)
+                    kw = key[w]
+                    live[dom[w]].remove(kw)
                     dom[w] -= 1
-                    live[dom[w]].add(w)
+                    live[dom[w]].add(kw)
             return
         # c is banned at every uncolored w within distance two, on the walks
         # v - w and v - u - w below.  Labels ban colors too, counted when the
@@ -258,20 +265,22 @@ def _colorings(g: Graph, k: int, budget: SearchBudget, tally: list[int],
         for i in trail[mark:]:
             ban[i] = 0
             w = i // K
-            live[dom[w]].remove(w)
+            kw = key[w]
+            live[dom[w]].remove(kw)
             dom[w] += 1
-            live[dom[w]].add(w)
+            live[dom[w]].add(kw)
         del trail[mark:]
 
     def branch(cap: int):
-        bucket = next(filter(None, live), None)
-        if bucket is None:
-            return None
-        v = min(bucket, key=key.__getitem__)
-        bucket.remove(v)
-        if bucket is live[0]:
-            key[v] -= n
-        return [v, 0, cap, len(trail)]
+        for bucket in live:
+            if bucket:
+                kv = min(bucket)
+                bucket.remove(kv)
+                v = order[kv % n]
+                if bucket is live[0]:
+                    key[v] -= n
+                return [v, 0, cap, len(trail)]
+        return None
 
     # under the distance-two cap a frame may open one color above the
     # largest used so far, else any color
@@ -281,6 +290,7 @@ def _colorings(g: Graph, k: int, budget: SearchBudget, tally: list[int],
         return
     # frames: [vertex, color last tried, largest color allowed, trail mark]
     stack, d = [root], 0
+    limit = budget.max_nodes
     while True:
         frame = stack[d]
         v, c, cap, mark = frame
@@ -296,16 +306,16 @@ def _colorings(g: Graph, k: int, budget: SearchBudget, tally: list[int],
             while d > h:
                 u = stack.pop()[0]
                 col[u] = 0
-                live[dom[u]].add(u)
+                live[dom[u]].add(key[u])
                 d -= 1
             conf[h] |= cs ^ (2 << h)
             continue
-        if tally[0] == budget.max_nodes:
+        if tally[0] == limit:
             raise UndecidedError(f"search budget of {tally[0]} nodes exhausted")
         tally[0] += 1
         frame[1] = c
         assign(v, c, 2 << d)
-        frame = branch(min(cap + (c == cap), k))
+        frame = branch(cap + (c == cap < k))
         if frame is None:
             conf[d] |= (2 << d) - 2
             yield tuple(col)

@@ -95,6 +95,23 @@ def _soundness_cases():
     yield complete_graph(5), 9  # a(5) = 9
 
 
+def test_d3_family_matches_its_definition():
+    # every path u - mid - w (u < w) and every ordered pair of distinct
+    # same-parity endpoint colors, in that order, the middle color forced
+    rng = SplitMix64(17)
+    for i in range(12):
+        g = gnp_graph(2 + rng.randint(9), 0.4, 1700 + i)
+        rank = {v: r for r, v in enumerate(_breadth_first(g))}
+        for k in range(1, 9):
+            expected = [(-(rank[u] * k + cu), -(rank[mid] * k + (cu + cw) // 2),
+                         -(rank[w] * k + cw))
+                        for mid in range(g.n)
+                        for u in g.adjacency[mid] for w in g.adjacency[mid] if u < w
+                        for cu in range(1, k + 1) for cw in range(1, k + 1)
+                        if cu != cw and cu % 2 == cw % 2]
+            assert _families(encode_graceful(g, k))["d3"] == expected, (g.edges(), k)
+
+
 def test_families_hold_on_every_graceful_coloring():
     # evaluated directly on the enumeration, with no SAT solver: families
     # a-d3 state gracefulness and the degree units are implied by it, and

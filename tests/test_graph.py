@@ -217,6 +217,23 @@ def test_degeneracy_matches_min_peeling(e4_6):
         assert degeneracy(g) == _min_peeling(g)
 
 
+def test_degeneracy_edge_cases_match_min_peeling(e4_9_unsat):
+    cubic, path = cubic_graph(20, 0), path_graph(5)
+    # a cubic graph on 0-19, a path on 20-24 and isolated vertices 25-27
+    union = Graph.from_edges(cubic.n + path.n + 3, cubic.edges()
+                             + [(u + cubic.n, v + cubic.n) for u, v in path.edges()])
+    graphs = [Graph.from_edges(0, []), Graph.from_edges(6, []), union]
+    graphs += [complete_graph(q) for q in range(1, 8)]
+    graphs.append(nae_reduce(e4_9_unsat[0]).graph)
+    graphs += [cubic_graph(400, seed) for seed in range(3)]
+    for g in graphs:
+        assert degeneracy(g) == _min_peeling(g), g.n
+    assert degeneracy(Graph.from_edges(0, [])) == (0, [])
+    assert degeneracy(Graph.from_edges(6, [])) == (0, list(range(6)))
+    assert degeneracy(union)[0] == 3
+    assert [degeneracy(complete_graph(q))[0] for q in range(1, 8)] == list(range(7))
+
+
 def test_degeneracy_below_max_degree():
     for i in range(20):
         g = gnp_graph(8, 0.5, 50 + i)

@@ -248,7 +248,8 @@ def test_degree_bans_match_definition():
     for g in graphs:
         for k in range(1, 25):
             degree, _, _ = _graceful_bans(g, k)
-            assert [list(r) for r in degree] == [
+            assert set(degree) == set(map(g.degree, range(g.n)))
+            assert [list(degree[g.degree(v)]) for v in range(g.n)] == [
                 [c for c in range(1, k + 1) if max(c - 1, k - c) < g.degree(v)]
                 for v in range(g.n)], (g.edges(), k)
 
