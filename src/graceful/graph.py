@@ -24,8 +24,8 @@ class Graph:
     neighbours in increasing order as a tuple, a fraction of a frozenset's
     memory, so every walk over N(v) visits it in index order.
 
-    G^2 and the twin classes are computed on first use and cached on the
-    object; equality and hashing read only n and adjacency."""
+    G^2, a clique of G^2 and the twin classes are computed on first use and
+    cached on the object; equality and hashing read only n and adjacency."""
 
     n: int
     adjacency: tuple[tuple[int, ...], ...]
@@ -65,10 +65,24 @@ class Graph:
         """Adjacency of G^2: for each vertex, the vertices at distance 1 or 2
         in increasing order, the form of adjacency.  Read by the distance-two
         search (solve._colorings), the CNF encoder (cnf.encode_graceful),
-        square() and square_clique(); graceful search never builds it."""
+        square() and square_clique; graceful search never builds it."""
         adj = self.adjacency
         return tuple(tuple(sorted(set(a).union(*(adj[u] for u in a)) - {v}))
                      for v, a in enumerate(adj))
+
+    @cached_property
+    def square_clique(self) -> tuple[int, ...]:
+        """A clique of G^2, grown greedily from each vertex by adding the
+        lowest-index vertex adjacent in G^2 to all chosen; the largest found."""
+        near = self.square_adjacency
+        best: tuple[int, ...] = ()
+        for v in range(self.n):
+            clique, common = [v], set(near[v])
+            while common:
+                clique.append(min(common))
+                common.intersection_update(near[clique[-1]])
+            best = max(best, tuple(clique), key=len)
+        return best
 
     @cached_property
     def twin_classes(self) -> tuple[tuple[int, ...], ...]:
@@ -212,20 +226,6 @@ def write_edge_list(g: Graph) -> str:
 def square(g: Graph) -> Graph:
     """G^2: same vertices, edges between all pairs at distance 1 or 2."""
     return Graph(g.n, g.square_adjacency)
-
-
-def square_clique(g: Graph) -> tuple[int, ...]:
-    """A clique of G^2, grown greedily from each vertex by adding the
-    lowest-index vertex adjacent in G^2 to all chosen; the largest found."""
-    near = g.square_adjacency
-    best: tuple[int, ...] = ()
-    for v in range(g.n):
-        clique, common = [v], set(near[v])
-        while common:
-            clique.append(min(common))
-            common.intersection_update(near[clique[-1]])
-        best = max(best, tuple(clique), key=len)
-    return best
 
 
 def degeneracy(g: Graph) -> tuple[int, list[int]]:

@@ -394,6 +394,11 @@ def extract_assignment(out: ReductionOutput, f: VertexColoring) -> tuple[bool, .
     ok, viol = is_graceful_coloring(out.graph, f)
     if not ok:
         raise ValueError(f"not a graceful coloring: {viol}")
+    return _read_assignment(out, f)
+
+
+def _read_assignment(out: ReductionOutput, f: VertexColoring) -> tuple[bool, ...]:
+    """extract_assignment on a coloring already verified graceful."""
     assignment = []
     for j, ports in enumerate(out.variable_ports):
         vals = {f[p] for p in ports}
@@ -429,5 +434,5 @@ def check_nae_reduction(phi: NaeFormula,
     if colorable != (sat is not None):
         return ConsistencyResult("counterexample", details)
     if colorable:
-        details["assignment"] = list(extract_assignment(out, dec.coloring))
+        details["assignment"] = list(_read_assignment(out, dec.coloring))
     return ConsistencyResult("consistent", details)

@@ -10,12 +10,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import reduce
-from itertools import chain, product
+from itertools import product
 from operator import or_
 from typing import Callable, Iterator
 
 from .coloring import VertexColoring, is_distance_two_coloring, is_graceful_coloring
-from .graph import Graph, square_clique
+from .graph import Graph
 from .sequences import MAX_N, a_of_n
 
 DEFAULT_BUDGET = 10 ** 7
@@ -77,8 +77,8 @@ def _graceful_bans(g: Graph, k: int) -> tuple[dict[int, range], int | None, rang
     reflection): degree[d], for each degree d in g, the colors banned at
     every vertex of degree d, as color c offers max(c-1, k-c) distinct
     difference labels and such a vertex needs d of them; and reflection,
-    capping the root r = _reflection_root(g) at ceil(k/2), as c -> k+1-c
-    maps graceful colorings to graceful colorings."""
+    the colors above ceil(k/2), banned at the root r = _reflection_root(g),
+    as c -> k+1-c maps graceful colorings to graceful colorings."""
     # max(c-1, k-c) < d exactly for c in [k-d+1, d]
     degree = {d: range(max(1, k - d + 1), min(k, d) + 1) for d in set(map(len, g.adjacency))}
     reflection = range((k + 1) // 2 + 1, k + 1)
@@ -114,10 +114,14 @@ def _colorings(g: Graph, k: int, budget: SearchBudget, tally: list[int],
     degrees; lowest index), so vertices that keep failing are tried early.
     In a regular graph every vertex has degree d and neighbour-degree sum
     d*d, so the order is the index order.
-    With symmetric, one coloring per symmetry class survives.  Distance-two
-    search opens at most one new color per node (color interchange).
     Graceful search starts from the degree bans of _graceful_bans, which
-    every graceful coloring obeys, and with symmetric keeps two rules:
+    every graceful coloring obeys.  With symmetric, one coloring per
+    symmetry class survives, by rules independent of the branching order.
+    Distance-two search fixes a clique of G^2: the i-th vertex of
+    Graph.square_clique keeps color i alone, none if i > k, as the clique's
+    colors differ and can be permuted to 1, 2, ... (Van Gelder, Discrete
+    Appl. Math. 2008).  It keeps no twin order, which could order two twins
+    against the fix.  Graceful search keeps two rules:
       - twin order: each twin class (see Graph.twin_classes) is colored
         increasingly in vertex index.  Any permutation of a twin class is an
         automorphism, and twins lie within distance two, so their colors
@@ -129,15 +133,11 @@ def _colorings(g: Graph, k: int, budget: SearchBudget, tally: list[int],
     Together they stay complete, as the root r is the lowest-index member
     of its twin class (twins have the same degree): reflect a coloring if
     f(r) > ceil(k/2), then sort each class, which can only lower f(r).
-    Neither rule depends on the branching order.  The twin rule is graceful
-    only: the distance-two cap is a rule on color values (value precedence),
-    and a vertex order combined with it is not sound in general, nor proven
-    sound for this search.  Without symmetric neither rule applies, and
-    every coloring is found.
+    Without symmetric no rule applies, and every coloring is found.
 
     The allowed colors are kept, not recomputed.  ban[v*K + c] is 0 if c is
-    allowed at the uncolored vertex v, 1 for a degree or reflection ban, and
-    else the OR of lb[x] = 2 << d over the x in its reason, x colored at
+    allowed at the uncolored vertex v, 1 for a ban the search starts from,
+    and else the OR of lb[x] = 2 << d over the x in its reason, x colored at
     depth d: with v just colored, {v} for a G^2 or twin-order ban, {v, x}
     for 2c - f(x) (x - v - w), {v, a} for (f(a) + c)/2 (a - w - v) and
     {v, u} for 2f(u) - c (v - u - w).  forbid sets and trails a ban only if
@@ -166,34 +166,33 @@ def _colorings(g: Graph, k: int, budget: SearchBudget, tally: list[int],
     depths in its vertex's ban reasons and in conf[d], where its failed
     subtrees left theirs; it pops every frame above h, the deepest of them,
     and adds the rest to conf[h], and an empty set ends the search.  Each
-    rule constrains its reason alone, and twin order and reflection the
-    symmetry-reduced problem, so no skipped branch holds a coloring.  A
-    twin reason never matters alone: v's G^2 ban names v at its twin w
-    unless an earlier twin's order ban or the reflection banned c there,
-    and with it every color v's order ban would.  The distance-two cap
-    needs no entry: a color above it and the cap color are unused above,
-    so swapping them fixes every assignment, and the cap color, never
-    banned, was tried and failed.  A yielded coloring puts all lower
-    depths in conf[d], so enumeration backtracks one frame at a time."""
+    rule constrains its reason alone, and twin order, reflection and the
+    clique fix the symmetry-reduced problem, so no skipped branch holds a
+    coloring.  A twin reason never matters alone: v's G^2 ban names v at
+    its twin w unless an earlier twin's order ban or the reflection banned
+    c there, and with it every color v's order ban would.  A yielded
+    coloring puts all lower depths in conf[d], so enumeration backtracks
+    one frame at a time."""
     n = g.n
     adj = g.adjacency
     twins = g.twin_classes if graceful and symmetric else [()] * n
     K = k + 1
     if graceful:
-        rule, root, reflection = _graceful_bans(g, k)
-        rows = {d: [int(c in r) for c in range(K)] for d, r in rule.items()}
-        allowed = {d: k - len(r) for d, r in rule.items()}
-        degrees = list(map(len, adj))
-        ban = list(chain.from_iterable(map(rows.__getitem__, degrees)))
-        dom = list(map(allowed.__getitem__, degrees))
+        degree, root, reflection = _graceful_bans(g, k)
+        bans = [(v, degree[len(a)]) for v, a in enumerate(adj)]
         if symmetric and root is not None:
-            ban[root * K + reflection.start:root * K + reflection.stop] = [1] * len(reflection)
-            dom[root] = K - 1 - sum(ban[root * K + 1:root * K + K])
+            bans.append((root, reflection))
     else:
         near = g.square_adjacency
-        ban = [0] * (n * K)
-        dom = [k] * n
-    ban.append(0)  # slot v*K, and one past the last vertex, stay 0
+        bans = [(v, [c for c in range(1, K) if c != i])
+                for i, v in enumerate(g.square_clique if symmetric else (), 1)]
+    ban = [0] * (n * K + 1)  # slot v*K, and one past the last vertex, stay 0
+    dom = [k] * n
+    for v, colors in bans:
+        for c in colors:
+            if not ban[i := v * K + c]:
+                ban[i] = 1
+                dom[v] -= 1
     order = _tie_order(g, graceful)
     key = [0] * n
     live = [set() for _ in range(K)]
@@ -271,7 +270,7 @@ def _colorings(g: Graph, k: int, budget: SearchBudget, tally: list[int],
             live[dom[w]].add(kw)
         del trail[mark:]
 
-    def branch(cap: int):
+    def branch():
         for bucket in live:
             if bucket:
                 kv = min(bucket)
@@ -279,26 +278,23 @@ def _colorings(g: Graph, k: int, budget: SearchBudget, tally: list[int],
                 v = order[kv % n]
                 if bucket is live[0]:
                     key[v] -= n
-                return [v, 0, cap, len(trail)]
+                return [v, 0, len(trail)]
         return None
 
-    # under the distance-two cap a frame may open one color above the
-    # largest used so far, else any color
-    root = branch(1 if symmetric and not graceful else k)
+    root = branch()
     if root is None:
         yield tuple(col)
         return
-    # frames: [vertex, color last tried, largest color allowed, trail mark]
-    stack, d = [root], 0
+    stack, d = [root], 0  # frames: [vertex, color last tried, trail mark]
     limit = budget.max_nodes
     while True:
         frame = stack[d]
-        v, c, cap, mark = frame
+        v, c, mark = frame
         if len(trail) > mark:
             undo(mark)
         base = v * K
         c = ban.index(0, base + c + 1) - base
-        if c > cap:
+        if c > k:
             cs = reduce(or_, ban[base + 1:base + K], conf[d])
             if cs < 2:
                 return
@@ -315,7 +311,7 @@ def _colorings(g: Graph, k: int, budget: SearchBudget, tally: list[int],
         tally[0] += 1
         frame[1] = c
         assign(v, c, 2 << d)
-        frame = branch(cap + (c == cap < k))
+        frame = branch()
         if frame is None:
             conf[d] |= (2 << d) - 2
             yield tuple(col)
@@ -398,13 +394,11 @@ def _least_k(g: Graph, k: int, budget: SearchBudget, total: int, graceful: bool,
 def distance_two_chromatic_number(g: Graph,
                                   budget: SearchBudget = SearchBudget()) -> OptimumResult:
     """chi(G^2) by upward iteration from the size of a clique of G^2, the
-    larger of a closed neighbourhood (max_v d(v) + 1) and square_clique's:
-    its vertices need distinct colors, so it certifies a 'no' at every
-    smaller k, which search can take millions of nodes to prove.  n colors
-    always suffice."""
+    larger of a closed neighbourhood (max_v d(v) + 1) and Graph.square_clique,
+    below which no coloring exists.  n colors always suffice."""
     if g.n == 0:
         return OptimumResult("ok", 0, None, 0)
-    start = max(max(map(len, g.adjacency)) + 1, len(square_clique(g)))
+    start = max(max(map(len, g.adjacency)) + 1, len(g.square_clique))
     return _least_k(g, start, budget, 0, False, lambda k: k >= g.n)
 
 

@@ -8,7 +8,7 @@ from graceful import (Graph, GraphFormatError, complete_graph, cubic_graph,
                       parse_edge_list, parse_graph6, path_graph, petersen_graph,
                       square, star_graph, structural_report, write_graph6)
 from graceful.graph import (GENERATORS, SplitMix64, complete_bipartite, generate,
-                            prism_graph, square_clique)
+                            prism_graph)
 from graceful.reductions import construction1, nae_reduce, smallest_e4_instance
 from graceful.solve import _graceful_bans
 
@@ -17,8 +17,10 @@ def test_equality_and_hash_ignore_edge_order():
     a = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3)])
     b = Graph.from_edges(4, [(3, 2), (0, 1), (2, 1)])
     assert a == b and hash(a) == hash(b)
-    # G^2 and the twin classes are cached on first use, and read by neither
+    # G^2, its clique and the twin classes are cached on first use, and read
+    # by neither
     assert a.square_adjacency is a.square_adjacency
+    assert a.square_clique is a.square_clique
     assert a.twin_classes is a.twin_classes
     assert a == b and hash(a) == hash(b)
     assert a != Graph.from_edges(4, [(0, 1), (1, 2)])
@@ -149,16 +151,16 @@ def test_square_clique_is_a_maximal_clique_of_the_square():
               for p in (0.05, 0.2, 0.5) for seed in range(3)]
     graphs += [cubic_graph(n, seed) for n in (8, 20, 60) for seed in range(3)]
     for g in graphs:
-        clique = square_clique(g)
+        clique = g.square_clique
         near = [set(a) for a in g.square_adjacency]
         assert len(set(clique)) == len(clique) and bool(clique) == bool(g.n)
         assert all(v in near[u] for u, v in combinations(clique, 2)), g.edges()
         # maximal: no vertex outside it is adjacent in G^2 to all of it
         assert not any(set(clique) <= near[w] for w in range(g.n)), g.edges()
-    assert len(square_clique(petersen_graph())) == 10  # diameter 2: G^2 = K_10
-    assert len(square_clique(star_graph(6))) == 7
-    assert square_clique(cycle_graph(5)) == (0, 1, 2, 3, 4)
-    assert square_clique(path_graph(4)) == (0, 1, 2)
+    assert len(petersen_graph().square_clique) == 10  # diameter 2: G^2 = K_10
+    assert len(star_graph(6).square_clique) == 7
+    assert cycle_graph(5).square_clique == (0, 1, 2, 3, 4)
+    assert path_graph(4).square_clique == (0, 1, 2)
 
 
 def test_twin_classes_match_pairwise_definition():

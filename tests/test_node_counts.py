@@ -19,13 +19,18 @@ lowest-index tie-break.  chi_g starts from max(chi(G^2), minimum degree
 q - 1 + ceil(q/2), so their chig counts are the sums of fewer searches.
 Graceful search also colors each class of twins in increasing order,
 which moves the counts of graphs with twins only: the complete graphs
-here, not the reduced NAE-3SAT-E4, cubic, Petersen or Q_3 pins.  The CDCL pins are of formulas that carry the same three rules as
-clauses (degree, reflection and twin order; see graceful.cnf), which cut
-their refutations most: K_6 at k = 10 took 1,980 decisions without
-them.  Their variables are numbered breadth first from the root, so the
-smallest-variable decisions color the graph outward from it:
-cubic_graph(16, 0) at k = 5 takes 11 decisions, against 70 with ids by
-vertex index."""
+here, not the reduced NAE-3SAT-E4, cubic, Petersen or Q_3 pins.
+Distance-two search fixes the colors of Graph.square_clique, its i-th
+vertex to color i, so a k below the clique's size is 'no' in 0 nodes;
+this rule replaced value precedence (one new color per node), which took
+90 nodes, not 65, for chi(G^2) of the cubic graph below and left the
+K_q, Petersen and Q_3 pins as they are.  The CDCL pins are of formulas
+that carry the same three rules as clauses (degree, reflection and twin
+order; see graceful.cnf), which cut their refutations most: K_6 at
+k = 10 took 1,980 decisions without them.  Their variables are numbered
+breadth first from the root, so the smallest-variable decisions color
+the graph outward from it: cubic_graph(16, 0) at k = 5 takes 11
+decisions, against 70 with ids by vertex index."""
 
 import pytest
 
@@ -155,11 +160,11 @@ def test_chromatic_numbers(g, chi2, chig):
 
 def test_square_clique_decides_chi2_of_a_cubic_graph():
     # G^2 holds a 6-clique, so k = 4 and 5 are 'no' without search; from
-    # max degree + 1 = 4 the search was still 'unknown' on k = 5 after 10^7
-    # nodes
+    # max degree + 1 = 4, a search that did not know the clique was still
+    # 'unknown' on k = 5 after 10^7 nodes
     res = distance_two_chromatic_number(cubic_graph(60, 18282431747914352928),
                                         SearchBudget(2000))
-    assert (res.status, res.value, res.nodes) == ("ok", 6, 90)
+    assert (res.status, res.value, res.nodes) == ("ok", 6, 65)
 
 
 # chi_g(K_q) = a(q).  All of K_q is one twin class, colored in increasing

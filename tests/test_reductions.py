@@ -4,6 +4,7 @@ from graceful import (SearchBudget, VertexColoring, complete_bipartite,
                       complete_graph, cubic_graph, distance_two_k_colorable,
                       hypercube_graph, is_graceful_coloring, petersen_graph,
                       prism_graph, structural_report)
+from graceful import reductions, solve
 from graceful.reductions import (BehaviorRow, GadgetSpec, NaeFormula,
                                  brute_force_nae, check_construction1_guarantee,
                                  check_nae_reduction, clause_gadget,
@@ -256,3 +257,19 @@ def test_extract_assignment_rejects_invalid():
     out = nae_reduce(smallest_e4_instance())
     with pytest.raises(ValueError):
         extract_assignment(out, VertexColoring((1,) * out.graph.n, 4))
+
+
+def test_check_nae_verifies_its_witness_once(monkeypatch):
+    # the search's witness is verified where it is found, and its ports are
+    # read without a second check
+    calls = []
+
+    def counted(g, f):
+        calls.append(g.n)
+        return is_graceful_coloring(g, f)
+
+    for module in (solve, reductions):
+        monkeypatch.setattr(module, "is_graceful_coloring", counted)
+    res = check_nae_reduction(smallest_e4_instance())
+    assert (res.status, res.details["graceful_4"]) == ("consistent", "yes")
+    assert len(calls) == 1

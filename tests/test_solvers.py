@@ -13,7 +13,7 @@ from graceful import (Graph, SearchBudget, VertexColoring, bounds,
                       graceful_k_colorable_bruteforce, hypercube_graph,
                       is_distance_two_coloring, is_graceful_coloring,
                       cubic_graph, lift_distance_two, path_graph, petersen_graph,
-                      star_graph, a_of_n)
+                      prism_graph, star_graph, a_of_n)
 from graceful.graph import SplitMix64
 from graceful.reductions import (clause_gadget, nae_reduce, smallest_e4_instance,
                                  variable_gadget)
@@ -125,7 +125,7 @@ def test_solver_matches_bruteforce():
             slow = graceful_k_colorable_bruteforce(g, k).status
             assert fast == slow, (n, k, i)
             # the oracle tries all k^n colorings, so it checks the search's
-            # color interchange pruning too
+            # clique fix too
             fast = distance_two_k_colorable(g, k).status
             slow = any(is_distance_two_coloring(g, VertexColoring(c, k))[0]
                        for c in product(range(1, k + 1), repeat=n))
@@ -206,11 +206,25 @@ def test_enumeration_matches_exhaustive_search(g, k):
 
 def test_distance_two_matches_exhaustive_search():
     rng = SplitMix64(17)
-    for i in range(30):
-        g = gnp_graph(7 + rng.randint(4), 0.3, 1700 + i)
-        for k in range(2, 8):
+    cases = [(gnp_graph(7 + rng.randint(4), 0.3, 1700 + i), range(2, 8)) for i in range(30)]
+    # the clique the search fixes need not be a closed neighbourhood: all of
+    # C_5 and Petersen, a 4-cycle of Q_3
+    for g in [cycle_graph(n) for n in range(5, 10)] + [prism_graph(), hypercube_graph(3),
+                                                       petersen_graph()]:
+        q = len(g.square_clique)
+        cases.append((g, range(q, q + 3)))
+    for g, ks in cases:
+        for k in ks:
             expected = next(_exhaustive_colorings(g, k, False), None) is not None
             assert distance_two_k_colorable(g, k).yes == expected, (g.edges(), k)
+
+
+def test_clique_bans_refute_a_smaller_k_without_search():
+    # a vertex of square_clique past the k-th has every color banned
+    for g, k in ((star_graph(4), 4), (cubic_graph(18, 25), 3), (cubic_graph(18, 25), 4)):
+        assert len(g.square_clique) > k
+        dec = distance_two_k_colorable(g, k)
+        assert (dec.status, dec.nodes) == ("no", 0)
 
 
 def test_tie_order_is_the_index_order_on_regular_graphs():
