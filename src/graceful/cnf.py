@@ -27,20 +27,19 @@ C(|t|, 2) over the twin classes t.
 Families a to d3 state that the coloring is graceful.  The last three are
 the rules the native search prunes with (see solve._colorings), given as
 clauses so that the CDCL solver need not rediscover them by search:
-  - degree and reflection: the bans of solve._graceful_bans, which the
-    native search starts from.  Degree bans a color c with
-    max(c-1, k-c) < d(v), and is implied by a to d3; reflection caps the
-    root r, the lowest-index vertex of maximum degree, at ceil(k/2).
+  - degree and reflection: one unit clause per (v, c) of the graceful-mode
+    bans of solve._static_bans, which the native search starts from and
+    whose docstring states them and why they are sound.  Degree is implied
+    by a to d3; reflection caps the root r, the lowest-index vertex of
+    maximum degree, at ceil(k/2).
   - twin: each twin class t_1 < ... < t_m of Graph.twin_classes (vertices
     of degree >= 1 with the same N(v) or the same N[v]) is colored
     increasingly.  Permuting a twin class is an automorphism (lex-leader
     symmetry breaking; Crawford, Ginsberg, Luks & Roy, KR 1996).
-Twins have the same degree, so r is the lowest member of its class: reflect
-a coloring whose root is above ceil(k/2), then sort each class, which can
-only lower the root's color.  So the models are exactly the graceful
-k-colorings with f(r) <= ceil(k/2) and every twin class increasing, and the
-formula is satisfiable iff g has a graceful k-coloring.  A #SAT count of
-the formula counts that reduced set, not every graceful coloring.
+By the argument there, the models are exactly the graceful k-colorings
+with f(r) <= ceil(k/2) and every twin class increasing, and the formula is
+satisfiable iff g has a graceful k-coloring.  A #SAT count of the formula counts that reduced
+set, not every graceful coloring.
 
 The solver below is conflict-driven clause learning (Zhang, Madigan,
 Moskewicz & Malik, ICCAD 2001; Een & Sorensson, SAT 2003) without restarts,
@@ -65,7 +64,7 @@ from typing import Sequence
 
 from .coloring import VertexColoring, is_graceful_coloring
 from .graph import Graph
-from .solve import SearchBudget, _graceful_bans, _reflection_root
+from .solve import SearchBudget, _reflection_root, _static_bans
 
 
 @dataclass
@@ -163,9 +162,8 @@ def encode_graceful(g: Graph, k: int) -> CnfFormula:
     emit("d3", ((-(base[u] + cu), -(base[mid] + cm), -(base[w] + cw))
                 for mid in range(n) for u, w in combinations(adj[mid], 2)
                 for cu, cm, cw in triples))
-    degree, root, reflection = _graceful_bans(g, k)
-    emit("degree", ((-(base[v] + c),) for v, a in enumerate(adj) for c in degree[len(a)]))
-    emit("reflection", ((-(base[root] + c),) for c in (reflection if n else ())))
+    for family, bans in _static_bans(g, k, True, True).items():
+        emit(family, ((-(base[v] + c),) for v, colors in bans for c in colors))
     emit("twin", ((-(base[ti] + c), -(base[tj] + c2))
                   for v, t in enumerate(g.twin_classes) if t and t[0] == v
                   for ti, tj in combinations(t, 2)

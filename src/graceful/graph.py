@@ -11,6 +11,7 @@ import heapq
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
+from math import isqrt
 from typing import Iterable
 
 
@@ -112,6 +113,8 @@ class Graph:
 # column by column, six bits to a byte.
 
 _GRAPH6_MAX_N = 258047
+_GRAPH6_BITS = {63 + b: f"{b:06b}" for b in range(64)}  # byte -> its six bits
+_GRAPH6_CHARS = bytes(range(63, 127)) + bytes(192)  # sextet -> byte; 64..255 unused
 
 
 def parse_graph6(text: str) -> Graph:
@@ -148,22 +151,19 @@ def parse_graph6(text: str) -> Graph:
     if len(body) > need:
         raise GraphFormatError(
             f"trailing data at offset {header.stop + need}: expected {need} body bytes")
-    bits: list[int] = []
-    for off, ch in enumerate(body):
-        b = ord(ch)
-        if not (63 <= b <= 126):
-            raise GraphFormatError(f"out-of-range byte {b} at offset {off + header.stop}")
-        v = b - 63
-        bits.extend((v >> shift) & 1 for shift in range(5, -1, -1))
-    if any(bits[nbits:]):
+    bits = body.translate(_GRAPH6_BITS)
+    if len(bits) != 6 * need:  # a byte outside 63..126 maps to one character
+        off, b = next((off, ord(ch)) for off, ch in enumerate(body, header.stop)
+                      if not 63 <= ord(ch) <= 126)
+        raise GraphFormatError(f"out-of-range byte {b} at offset {off}")
+    if "1" in bits[nbits:]:
         raise GraphFormatError("nonzero padding bits in final byte")
     edges = []
-    idx = 0
-    for v in range(1, n):
-        for u in range(v):
-            if bits[idx]:
-                edges.append((u, v))
-            idx += 1
+    i = bits.find("1")
+    while i >= 0:
+        v = (isqrt(8 * i + 1) + 1) // 2  # bit i = v(v-1)/2 + u is edge (u, v)
+        edges.append((i - v * (v - 1) // 2, v))
+        i = bits.find("1", i + 1)
     return Graph.from_edges(n, edges)
 
 
@@ -171,16 +171,15 @@ def write_graph6(g: Graph) -> str:
     """Encode a Graph as a graph6 line (requires n <= 258047)."""
     if g.n > _GRAPH6_MAX_N:
         raise ValueError(f"n={g.n} exceeds graph6 range (n <= {_GRAPH6_MAX_N})")
-    nbits = g.n * (g.n - 1) // 2
-    bits = ["0"] * (nbits + -nbits % 6)
+    sextets = bytearray((g.n * (g.n - 1) // 2 + 5) // 6)
     for u, v in g.edges():
-        bits[v * (v - 1) // 2 + u] = "1"
+        i = v * (v - 1) // 2 + u
+        sextets[i // 6] |= 32 >> i % 6
     if g.n < 63:
-        out = [chr(g.n + 63)]
+        head = chr(g.n + 63)
     else:
-        out = ["~"] + [chr((g.n >> shift & 63) + 63) for shift in (12, 6, 0)]
-    out += [chr(int("".join(bits[i:i + 6]), 2) + 63) for i in range(0, len(bits), 6)]
-    return "".join(out)
+        head = "~" + "".join(chr((g.n >> shift & 63) + 63) for shift in (12, 6, 0))
+    return head + sextets.translate(_GRAPH6_CHARS).decode("ascii")
 
 
 # ---------------------------------------------------------------------------

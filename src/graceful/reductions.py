@@ -18,6 +18,7 @@ boundary stubs, which over-approximates every possible embedding.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cache
 from itertools import product
 from typing import Callable
 
@@ -208,7 +209,8 @@ def brute_force_nae(phi: NaeFormula):
 
 
 # ---------------------------------------------------------------------------
-# Gadgets
+# Gadgets.  variable_gadget and clause_gadget build their template once and
+# return the same spec on every call, so callers only read it.
 
 @dataclass(frozen=True)
 class BehaviorRow:
@@ -239,6 +241,7 @@ class CertificationReport:
     colorings_enumerated: int
 
 
+@cache
 def variable_gadget() -> GadgetSpec:
     """Tree gadget with four ports that must all receive the same color
     from {1,4} in every graceful 4-coloring.
@@ -268,6 +271,7 @@ def variable_gadget() -> GadgetSpec:
     return GadgetSpec(g, ports, tuple(rows))
 
 
+@cache
 def clause_gadget() -> GadgetSpec:
     """Subdivided triangle with pendant-carrying side midpoints; the three
     corner anchors are the ports.

@@ -10,9 +10,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import reduce
-from itertools import product
+from itertools import chain, product
 from operator import or_
-from typing import Callable, Iterator
+from typing import Callable, Iterator, Sequence
 
 from .coloring import VertexColoring, is_distance_two_coloring, is_graceful_coloring
 from .graph import Graph
@@ -65,24 +65,39 @@ class InternalConsistencyError(AssertionError):
 # difference labels are also distinct at every vertex, so one depth-first
 # search decides both; `graceful` switches the label check on.
 
-def _reflection_root(g: Graph) -> int | None:
-    """The lowest-index vertex of maximum degree, or None if g is empty."""
+def _reflection_root(g: Graph) -> int:
+    """The lowest-index vertex of maximum degree of a non-empty g."""
     degrees = list(map(len, g.adjacency))
-    return degrees.index(max(degrees)) if degrees else None
+    return degrees.index(max(degrees))
 
 
-def _graceful_bans(g: Graph, k: int) -> tuple[dict[int, range], int | None, range]:
-    """The colors ruled out before a graceful k-coloring search, which it
-    starts from and the CNF encoder emits as clauses, as (degree, r,
-    reflection): degree[d], for each degree d in g, the colors banned at
-    every vertex of degree d, as color c offers max(c-1, k-c) distinct
-    difference labels and such a vertex needs d of them; and reflection,
-    the colors above ceil(k/2), banned at the root r = _reflection_root(g),
-    as c -> k+1-c maps graceful colorings to graceful colorings."""
+def _static_bans(g: Graph, k: int, graceful: bool,
+                 symmetric: bool) -> dict[str, list[tuple[int, Sequence[int]]]]:
+    """The colors ruled out before a k-coloring search, as (vertex, banned
+    colors) pairs per family, keyed by the CNF encoder's family names in its
+    order: the native search (_colorings) starts from them, and
+    cnf.encode_graceful emits them as unit clauses.  In graceful mode:
+      - degree: color c offers max(c-1, k-c) distinct difference labels,
+        and a vertex of degree d needs d of them.
+      - reflection, with symmetric and n > 0: the colors above ceil(k/2) at
+        the root r = _reflection_root(g), as c -> k+1-c maps graceful
+        colorings to graceful colorings.  With twin order (see _colorings)
+        it stays complete, as r is the lowest-index member of its twin class
+        (twins have the same degree): reflect a coloring if f(r) > ceil(k/2),
+        then sort each class, which can only lower f(r).
+    In distance-two mode:
+      - clique, with symmetric: the i-th vertex of Graph.square_clique keeps
+        color i alone, none if i > k, as the clique's colors differ and can
+        be permuted to 1, 2, ... (Van Gelder, Discrete Appl. Math. 2008).
+        Twin order could order two twins against it, so this mode has none."""
+    if not graceful:
+        return {"clique": [(v, [c for c in range(1, k + 1) if c != i])
+                           for i, v in enumerate(g.square_clique if symmetric else (), 1)]}
     # max(c-1, k-c) < d exactly for c in [k-d+1, d]
     degree = {d: range(max(1, k - d + 1), min(k, d) + 1) for d in set(map(len, g.adjacency))}
     reflection = range((k + 1) // 2 + 1, k + 1)
-    return degree, _reflection_root(g), reflection
+    return {"degree": [(v, degree[len(a)]) for v, a in enumerate(g.adjacency)],
+            "reflection": [(_reflection_root(g), reflection)] if symmetric and g.n else []}
 
 
 def _tie_order(g: Graph, graceful: bool) -> list[int]:
@@ -114,26 +129,18 @@ def _colorings(g: Graph, k: int, budget: SearchBudget, tally: list[int],
     degrees; lowest index), so vertices that keep failing are tried early.
     In a regular graph every vertex has degree d and neighbour-degree sum
     d*d, so the order is the index order.
-    Graceful search starts from the degree bans of _graceful_bans, which
-    every graceful coloring obeys.  With symmetric, one coloring per
-    symmetry class survives, by rules independent of the branching order.
-    Distance-two search fixes a clique of G^2: the i-th vertex of
-    Graph.square_clique keeps color i alone, none if i > k, as the clique's
-    colors differ and can be permuted to 1, 2, ... (Van Gelder, Discrete
-    Appl. Math. 2008).  It keeps no twin order, which could order two twins
-    against the fix.  Graceful search keeps two rules:
-      - twin order: each twin class (see Graph.twin_classes) is colored
-        increasingly in vertex index.  Any permutation of a twin class is an
-        automorphism, and twins lie within distance two, so their colors
-        differ and every graceful coloring can be sorted into this order
-        (lex-leader symmetry breaking; Crawford, Ginsberg, Luks & Roy, KR
-        1996).  When a twin takes color c, its uncolored later twins ban
-        1..c-1 and its uncolored earlier twins ban c+1..k.
-      - reflection: the reflection bans of _graceful_bans.
-    Together they stay complete, as the root r is the lowest-index member
-    of its twin class (twins have the same degree): reflect a coloring if
-    f(r) > ceil(k/2), then sort each class, which can only lower f(r).
-    Without symmetric no rule applies, and every coloring is found.
+    The search starts from the bans of _static_bans, which states each
+    family and why it is sound.  With symmetric, one coloring per symmetry
+    class survives, by rules independent of the branching order: the
+    reflection or clique bans, and in graceful search twin order.  Each twin
+    class (see Graph.twin_classes) is colored increasingly in vertex index.
+    Any permutation of a twin class is an automorphism, and twins lie
+    within distance two, so their colors differ and every graceful coloring
+    can be sorted into this order (lex-leader symmetry breaking; Crawford,
+    Ginsberg, Luks & Roy, KR 1996).  When a twin takes color c, its
+    uncolored later twins ban 1..c-1 and its uncolored earlier twins ban
+    c+1..k.
+    Without symmetric no symmetry rule applies, and every coloring is found.
 
     The allowed colors are kept, not recomputed.  ban[v*K + c] is 0 if c is
     allowed at the uncolored vertex v, 1 for a ban the search starts from,
@@ -175,20 +182,12 @@ def _colorings(g: Graph, k: int, budget: SearchBudget, tally: list[int],
     one frame at a time."""
     n = g.n
     adj = g.adjacency
+    near = () if graceful else g.square_adjacency
     twins = g.twin_classes if graceful and symmetric else [()] * n
     K = k + 1
-    if graceful:
-        degree, root, reflection = _graceful_bans(g, k)
-        bans = [(v, degree[len(a)]) for v, a in enumerate(adj)]
-        if symmetric and root is not None:
-            bans.append((root, reflection))
-    else:
-        near = g.square_adjacency
-        bans = [(v, [c for c in range(1, K) if c != i])
-                for i, v in enumerate(g.square_clique if symmetric else (), 1)]
     ban = [0] * (n * K + 1)  # slot v*K, and one past the last vertex, stay 0
     dom = [k] * n
-    for v, colors in bans:
+    for v, colors in chain.from_iterable(_static_bans(g, k, graceful, symmetric).values()):
         for c in colors:
             if not ban[i := v * K + c]:
                 ban[i] = 1

@@ -8,6 +8,7 @@ from graceful.cnf import (CnfFormula, SatResult, _breadth_first, decode_model,
                           predicted_clause_counts, write_dimacs)
 from graceful.graph import SplitMix64
 from graceful.reductions import nae_reduce, smallest_e4_instance
+from graceful.solve import _static_bans
 
 
 def test_encode_k2():
@@ -110,6 +111,25 @@ def test_d3_family_matches_its_definition():
                         for cu in range(1, k + 1) for cw in range(1, k + 1)
                         if cu != cw and cu % 2 == cw % 2]
             assert _families(encode_graceful(g, k))["d3"] == expected, (g.edges(), k)
+
+
+def test_unit_families_are_the_static_bans(e4_6):
+    # the degree and reflection unit clauses, decoded to (v, c), are the
+    # bans the native search starts from, neither more nor less
+    graphs = [gnp_graph(n, 0.3, 900 + n) for n in range(12)] + TWIN_RICH
+    graphs += [cubic_graph(n, s) for n in (8, 20) for s in range(2)]
+    graphs += [complete_graph(q) for q in range(8)]
+    graphs += [nae_reduce(phi).graph for phi in e4_6]
+    for g in graphs:
+        order = _breadth_first(g)
+        for k in (1, 3, 4, 5, 6, 8):
+            families = _families(encode_graceful(g, k))
+            bans = _static_bans(g, k, True, True)
+            assert list(bans) == ["degree", "reflection"]
+            for name, pairs in bans.items():
+                units = [divmod(-lit - 1, k) for (lit,) in families[name]]
+                assert {(order[r], c + 1) for r, c in units} == {
+                    (v, c) for v, colors in pairs for c in colors}, (name, g.edges(), k)
 
 
 def test_families_hold_on_every_graceful_coloring():

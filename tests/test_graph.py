@@ -10,7 +10,7 @@ from graceful import (Graph, GraphFormatError, complete_graph, cubic_graph,
 from graceful.graph import (GENERATORS, SplitMix64, complete_bipartite, generate,
                             prism_graph)
 from graceful.reductions import construction1, nae_reduce, smallest_e4_instance
-from graceful.solve import _graceful_bans
+from graceful.solve import _static_bans
 
 
 def test_equality_and_hash_ignore_edge_order():
@@ -49,9 +49,10 @@ def test_graph6_roundtrip_random():
         assert write_graph6(parse_graph6(s)) == s
 
 
-@pytest.mark.parametrize("n", [63, 64, 126, 300])
+@pytest.mark.parametrize("n", [63, 64, 126, 300, 1300])
 def test_graph6_long_form_roundtrip(n):
-    g = gnp_graph(n, 0.1, n)
+    # the largest as a sparse cubic graph, whose bits are mostly padding zeros
+    g = gnp_graph(n, 0.1, n) if n < 1000 else cubic_graph(n, 1)
     s = write_graph6(g)
     assert s[0] == "~" and len(s) == 4 + (n * (n - 1) // 2 + 5) // 6
     assert s == _graph6_by_has_edge(g)
@@ -65,10 +66,26 @@ def test_graph6_long_form_header():
     assert write_graph6(Graph.from_edges(62, []))[0] == chr(62 + 63)
 
 
-@pytest.mark.parametrize("bad", ["", ">>graph6<<", "~??", "~~??????", "~?F" + chr(20),
-                                 "A", "A_x", chr(20) + "_"])
-def test_graph6_malformed(bad):
-    with pytest.raises(GraphFormatError):
+GRAPH6_MALFORMED = [
+    ("", "empty graph6 string"),
+    (">>graph6<<", "empty graph6 string"),
+    ("~??", "truncated long-form header: need 3 bytes after '~', got 2"),
+    ("~~??????", "8-byte graph6 header at byte 0: only n <= 258047 supported"),
+    ("~?F" + chr(20), "out-of-range byte 20 at offset 3"),
+    ("A", "truncated bit vector: need 1 bytes after header, got 0"),
+    ("A_x", "trailing data at offset 2: expected 1 body bytes"),
+    (chr(20) + "_", "out-of-range byte 20 at offset 0"),
+    # a body byte out of range, in the short and the long form (n = 63)
+    ("A" + chr(20), "out-of-range byte 20 at offset 1"),
+    ("~??~" + "?" * 325 + chr(127), "out-of-range byte 127 at offset 329"),
+    # n = 2 has one bit; '`' is 100001
+    ("A`", "nonzero padding bits in final byte"),
+]
+
+
+@pytest.mark.parametrize("bad, msg", GRAPH6_MALFORMED, ids=[bad[:12] for bad, _ in GRAPH6_MALFORMED])
+def test_graph6_malformed(bad, msg):
+    with pytest.raises(GraphFormatError, match=f"^{msg}$"):
         parse_graph6(bad)
 
 
@@ -179,11 +196,12 @@ def test_reflection_root_is_lowest_of_its_twin_class():
     # the premise of symmetry soundness: sorting each twin class after a
     # reflection can only lower the root's color
     for g in _fact_graphs():
-        _, root, reflection = _graceful_bans(g, 4)
-        assert list(reflection) == [3, 4]
+        bans = _static_bans(g, 4, True, True)["reflection"]
         if not g.n:
-            assert root is None
+            assert bans == []
             continue
+        [(root, reflection)] = bans
+        assert list(reflection) == [3, 4]
         assert root == min(range(g.n), key=lambda v: (-g.degree(v), v))
         assert g.twin_classes[root][:1] in ((), (root,))
 

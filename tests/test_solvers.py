@@ -17,7 +17,7 @@ from graceful import (Graph, SearchBudget, VertexColoring, bounds,
 from graceful.graph import SplitMix64
 from graceful.reductions import (clause_gadget, nae_reduce, smallest_e4_instance,
                                  variable_gadget)
-from graceful.solve import _graceful_bans, _least_k, _tie_order
+from graceful.solve import _least_k, _static_bans, _tie_order
 
 
 def test_distance_two_c4():
@@ -261,11 +261,37 @@ def test_degree_bans_match_definition():
               + [nae_reduce(smallest_e4_instance()).graph])
     for g in graphs:
         for k in range(1, 25):
-            degree, _, _ = _graceful_bans(g, k)
-            assert set(degree) == set(map(g.degree, range(g.n)))
-            assert [list(degree[g.degree(v)]) for v in range(g.n)] == [
+            bans = _static_bans(g, k, True, True)["degree"]
+            assert [v for v, _ in bans] == list(range(g.n))
+            assert [list(colors) for _, colors in bans] == [
                 [c for c in range(1, k + 1) if max(c - 1, k - c) < g.degree(v)]
                 for v in range(g.n)], (g.edges(), k)
+
+
+def test_clique_bans_match_definition():
+    # the i-th vertex of square_clique keeps color i alone, none if i > k,
+    # and no other vertex has a ban
+    graphs = ([gnp_graph(n, 0.3, 500 + n) for n in range(0, 12)]
+              + [star_graph(4), cycle_graph(5), petersen_graph(), cubic_graph(18, 25)])
+    for g in graphs:
+        for k in range(1, 12):
+            bans = _static_bans(g, k, False, True)
+            assert list(bans) == ["clique"]
+            assert [v for v, _ in bans["clique"]] == list(g.square_clique)
+            palette = set(range(1, k + 1))
+            assert [palette.difference(colors) for _, colors in bans["clique"]] == [
+                palette & {i} for i in range(1, len(g.square_clique) + 1)], (g.edges(), k)
+
+
+def test_symmetry_bans_need_symmetric():
+    # without symmetric neither the reflection nor the clique is fixed, and
+    # the degree bans, which every graceful coloring obeys, stay
+    for g in (cubic_graph(10, 0), star_graph(6), complete_graph(5), Graph.from_edges(0, [])):
+        for k in (1, 3, 5, 8):
+            bans = _static_bans(g, k, True, False)
+            assert list(bans) == ["degree", "reflection"] and bans["reflection"] == []
+            assert bans["degree"] == _static_bans(g, k, True, True)["degree"]
+            assert _static_bans(g, k, False, False) == {"clique": []}
 
 
 TWIN_RICH = ([star_graph(m) for m in range(1, 7)]
